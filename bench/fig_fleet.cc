@@ -122,9 +122,11 @@ FleetRunResult run_fleet(const FleetScenario& sc,
                  spec.mean_interarrival_cycles;
     pc.fleet_shards = sc.shards;
     pc.shard_losses = sc.shard_losses;
+    // Named: a range-for over generate(pc).events() would iterate a
+    // member of a temporary destroyed before the loop body runs.
+    const faults::FaultPlan generated = faults::FaultPlan::generate(pc);
     faults::FaultPlan plan;
-    for (faults::FaultEvent e :
-         faults::FaultPlan::generate(pc).events()) {
+    for (faults::FaultEvent e : generated.events()) {
       e.at += run_start;
       plan.add(e);
     }
@@ -328,6 +330,8 @@ int main(int argc, char** argv) {
     add_fleet_metrics(report, "storm_restart", a);
     add_fleet_metrics(report, "storm_promote", b);
 
+    MSV_CHECK_MSG(a.losses_injected == losses && b.losses_injected == losses,
+                  "every planned enclave loss must be injected");
     MSV_CHECK_MSG(a.stats.restarts >= 1,
                   "the restart fleet must pay for at least one restart");
     MSV_CHECK_MSG(b.stats.promotions >= 1,

@@ -1,6 +1,9 @@
 #include "apps/paldb/store.h"
 
-#include <cstring>
+#include <algorithm>
+#include <optional>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "support/bytes.h"
@@ -51,23 +54,118 @@ void StoreWriter::put(std::string_view key, std::string_view value) {
 
 namespace {
 
-std::vector<std::uint8_t> read_back(shim::IoService& io,
-                                    const std::string& path) {
-  const std::uint64_t size = io.file_size(path);
-  std::vector<std::uint8_t> data(size);
-  const auto in = io.open(path, vfs::OpenMode::kRead);
-  std::uint64_t off = 0;
-  // Chunked reads, as the Java implementation would do through a buffered
-  // stream.
-  constexpr std::uint64_t kChunk = 64 << 10;
-  while (off < size) {
-    const std::uint64_t want = std::min(kChunk, size - off);
-    const std::uint64_t got = io.read(in, data.data() + off, want);
+// A staging file read back front to back in 64 KiB read() calls, as the
+// Java implementation does through a buffered stream.
+class StagedStream {
+ public:
+  StagedStream(shim::IoService& io, const std::string& path)
+      : io_(io),
+        size_(io.file_size(path)),
+        in_(io.open(path, vfs::OpenMode::kRead)) {}
+
+  std::uint64_t size() const { return size_; }
+
+  // Appends the next chunk to `buf`. Returns false, and closes the file,
+  // once every byte has been read; call it until it does.
+  bool read_into(std::vector<std::uint8_t>& buf) {
+    if (off_ == size_) {
+      io_.close(in_);
+      return false;
+    }
+    constexpr std::uint64_t kChunk = 64 << 10;
+    const std::uint64_t want = std::min(kChunk, size_ - off_);
+    const std::size_t have = buf.size();
+    buf.resize(have + want);
+    const std::uint64_t got = io_.read(in_, buf.data() + have, want);
     MSV_CHECK_MSG(got > 0, "staging file truncated");
-    off += got;
+    buf.resize(have + got);
+    off_ += got;
+    return true;
   }
-  io.close(in);
-  return data;
+
+ private:
+  shim::IoService& io_;
+  const std::uint64_t size_;
+  const shim::FileId in_;
+  std::uint64_t off_ = 0;
+};
+
+// One record as put() staged it: a varint length, then that many bytes
+// (ByteBuffer::put_string). The data region holds records in the same
+// encoding, so the merge copies `encoded` as is.
+struct StagedRecord {
+  std::string_view payload;
+  std::span<const std::uint8_t> encoded;
+};
+
+// Takes the record at r's position if the buffer holds all of it. Returns
+// nullopt, leaving r in place, if the record runs past the buffer's end.
+std::optional<StagedRecord> take_record(ByteReader& r) {
+  const std::size_t start = r.position();
+  const std::uint8_t* p = r.raw() + start;
+  // Find the length prefix's last byte before decoding it: a prefix cut by
+  // a chunk boundary is carried over, not reported as truncated input.
+  std::size_t prefix = 0;
+  while (prefix < r.remaining() && (p[prefix] & 0x80) != 0) ++prefix;
+  if (prefix == r.remaining()) return std::nullopt;
+  const std::uint64_t len = r.get_varint();  // throws on an overlong prefix
+  if (len > r.remaining()) {
+    r.seek(start);
+    return std::nullopt;
+  }
+  const std::size_t header = r.position() - start;
+  r.seek(r.position() + len);
+  const auto size = static_cast<std::size_t>(len);
+  return StagedRecord{{reinterpret_cast<const char*>(p + header), size},
+                      {p, header + size}};
+}
+
+std::uint64_t load_u64(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+  return v;
+}
+
+void store_u64(std::uint8_t* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+// Open-addressed index at load factor <= 0.5 (power-of-two slots), built
+// in the little-endian layout the file holds: per slot the key hash, then
+// the record offset + 1.
+class SlotIndex {
+ public:
+  explicit SlotIndex(std::uint64_t keys) {
+    while (slot_count_ < keys * 2) slot_count_ *= 2;
+    bytes_.resize(slot_count_ * kSlotBytes);
+  }
+
+  std::uint64_t slot_count() const { return slot_count_; }
+
+  // Linear probing from the hash's home slot. Returns false, changing
+  // nothing, if the hash is already present.
+  bool insert(std::uint64_t hash, std::uint64_t offset) {
+    std::uint64_t s = hash & (slot_count_ - 1);
+    while (const std::uint64_t held = load_u64(&bytes_[s * kSlotBytes])) {
+      if (held == hash) return false;
+      s = (s + 1) & (slot_count_ - 1);
+    }
+    store_u64(&bytes_[s * kSlotBytes], hash);
+    store_u64(&bytes_[s * kSlotBytes + 8], offset + 1);
+    return true;
+  }
+
+  std::vector<std::uint8_t> take() { return std::move(bytes_); }
+
+ private:
+  std::uint64_t slot_count_ = 16;
+  std::vector<std::uint8_t> bytes_;
+};
+
+// Writes `bytes` and frees them as soon as the write returns.
+void write_and_release(shim::IoService& io, shim::FileId out,
+                       std::vector<std::uint8_t> bytes) {
+  io.write(out, bytes.data(), bytes.size());
 }
 
 }  // namespace
@@ -80,70 +178,68 @@ void StoreWriter::close() {
   io_.flush(values_tmp_);
   io_.close(values_tmp_);
 
-  // Read the staged streams back and merge them into the final file:
-  // header, data region (records in insertion order), index region.
+  // Read the staged streams back and merge them into the data region
+  // (records in insertion order) and the index. The keys come back whole;
+  // the values are merged chunk by chunk as they arrive, so no second copy
+  // of them is ever held.
   const std::string keys_path = path_ + ".keys.tmp";
   const std::string values_path = path_ + ".values.tmp";
-  const std::vector<std::uint8_t> staged_keys = read_back(io_, keys_path);
-  const std::vector<std::uint8_t> staged_values = read_back(io_, values_path);
-
-  struct Slot {
-    std::uint64_t hash;
-    std::uint64_t offset;
-  };
-  std::vector<Slot> records;
-  ByteBuffer data_buf;
+  std::vector<std::uint8_t> data;
+  data.reserve(stats_.bytes_staged);
+  SlotIndex index(stats_.puts);
+  bool duplicate = false;
   {
+    std::vector<std::uint8_t> staged_keys;
+    StagedStream keys_in(io_, keys_path);
+    staged_keys.reserve(keys_in.size());
+    while (keys_in.read_into(staged_keys)) {
+    }
     ByteReader keys(staged_keys.data(), staged_keys.size());
-    ByteReader values(staged_values.data(), staged_values.size());
-    while (!keys.done()) {
-      MSV_CHECK_MSG(!values.done(), "staging streams out of sync");
-      const std::string key = keys.get_string();
-      const std::string value = values.get_string();
-      records.push_back(Slot{key_hash(key), data_buf.size()});
-      data_buf.put_string(key);
-      data_buf.put_string(value);
-    }
-    MSV_CHECK_MSG(values.done(), "staging streams out of sync");
-  }
-  const std::vector<std::uint8_t>& data = data_buf.bytes();
-  env_.clock.advance(records.size() * kRecordCpuCycles);
 
-  // Open-addressed index at load factor <= 0.5 (power-of-two slots).
-  std::uint64_t slot_count = 16;
-  while (slot_count < records.size() * 2) slot_count *= 2;
-  std::vector<std::uint64_t> index(slot_count * 2, 0);
-  for (const auto& rec : records) {
-    std::uint64_t s = rec.hash & (slot_count - 1);
-    while (index[s * 2] != 0) {
-      if (index[s * 2] == rec.hash) {
-        throw RuntimeFault("duplicate key in write-once store " + path_);
+    std::uint64_t records = 0;
+    std::vector<std::uint8_t> window;  // carried partial record + new chunk
+    StagedStream values_in(io_, values_path);
+    while (values_in.read_into(window)) {
+      ByteReader values(window.data(), window.size());
+      while (const auto value = take_record(values)) {
+        const auto key = take_record(keys);
+        MSV_CHECK_MSG(key.has_value() && records < stats_.puts,
+                      "staging streams out of sync");
+        duplicate |= !index.insert(key_hash(key->payload), data.size());
+        data.insert(data.end(), key->encoded.begin(), key->encoded.end());
+        data.insert(data.end(), value->encoded.begin(), value->encoded.end());
+        ++records;
       }
-      s = (s + 1) & (slot_count - 1);
+      const auto consumed = static_cast<std::ptrdiff_t>(values.position());
+      window.erase(window.begin(), window.begin() + consumed);
     }
-    index[s * 2] = rec.hash;
-    index[s * 2 + 1] = rec.offset + 1;
+    MSV_CHECK_MSG(window.empty() && keys.done() && records == stats_.puts,
+                  "staging streams out of sync");
   }
+  env_.clock.advance(stats_.puts * kRecordCpuCycles);
+  // Fails before the store file is created.
+  if (duplicate) {
+    throw RuntimeFault("duplicate key in write-once store " + path_);
+  }
+  io_.remove(keys_path);
+  io_.remove(values_path);
 
-  // Final file: header + data + index, written through regular I/O.
+  // Final file: header + data + index, written through regular I/O. Each
+  // region is freed as soon as it is written.
   ByteBuffer header;
   header.put_u32(kMagic);
   header.put_u32(kVersion);
-  header.put_u64(records.size());
+  header.put_u64(stats_.puts);
   header.put_u64(kHeaderBytes + data.size());
-  header.put_u64(slot_count);
+  header.put_u64(index.slot_count());
   MSV_CHECK(header.size() == kHeaderBytes);
 
   const auto out = io_.open(path_, vfs::OpenMode::kWrite);
   io_.write(out, header.data(), header.size());
-  io_.write(out, data.data(), data.size());
-  ByteBuffer index_bytes;
-  for (const auto w : index) index_bytes.put_u64(w);
-  io_.write(out, index_bytes.data(), index_bytes.size());
+  write_and_release(io_, out, std::move(data));
+  write_and_release(io_, out, index.take());
   io_.flush(out);
   io_.close(out);
-  io_.remove(keys_path);
-  io_.remove(values_path);
 }
 
 StoreReader::StoreReader(Env& env, shim::IoService& io,

@@ -51,7 +51,8 @@ class StoreWriter {
   void put(std::string_view key, std::string_view value);
 
   // Builds the index and writes the final store file; removes the staging
-  // file. Must be called exactly once before reading.
+  // files. Must be called exactly once before reading. Throws RuntimeFault
+  // on a duplicate key, before the store file is created.
   void close();
 
   const WriterStats& stats() const { return stats_; }

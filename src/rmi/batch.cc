@@ -10,14 +10,14 @@ void encode_batch_entry(ByteBuffer& out, std::uint32_t call_id,
                         const std::uint8_t* payload, std::size_t size) {
   out.put_varint(call_id);
   out.put_varint(size);
-  if (size > 0) out.put_bytes(payload, size);
+  out.put_bytes(payload, size);
 }
 
 void encode_batch_result(ByteBuffer& out, bool ok, const std::uint8_t* payload,
                          std::size_t size) {
   out.put_u8(ok ? 0 : 1);
   out.put_varint(size);
-  if (size > 0) out.put_bytes(payload, size);
+  out.put_bytes(payload, size);
 }
 
 namespace {

@@ -235,9 +235,7 @@ ByteBuffer ProxyRuntime::transition(SideState& /*caller*/,
                                     const std::string& name,
                                     const ByteBuffer& payload, bool via_ecall) {
   if (config_.gc_auto_pump) pump_gc();
-  // Legacy shape: the name is resolved on every call (what the PR-1 shim
-  // did), but dispatch goes through the ID overload — the deprecated
-  // string entry points have no callers left in the library.
+  // Legacy shape: the name is resolved to its ID on every call.
   ByteBuffer response;
   if (via_ecall) {
     bridge_.ecall(bridge_.ecall_id(name), payload, response);

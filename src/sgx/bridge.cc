@@ -135,29 +135,6 @@ void TransitionBridge::check_ecall_entry(const std::string& name) const {
   }
 }
 
-// The string-dispatch shim is deprecated in the header; its definitions
-// (and nothing else here) still refer to it.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-ByteBuffer TransitionBridge::ecall(const std::string& name,
-                                   const ByteBuffer& request) {
-  check_ecall_entry(name);
-  ByteBuffer response;
-  call(ecall_id(name), request, response, /*is_ecall=*/true);
-  return response;
-}
-
-ByteBuffer TransitionBridge::ocall(const std::string& name,
-                                   const ByteBuffer& request) {
-  if (side() != Side::kTrusted) {
-    throw SecurityFault("ocall '" + name + "' issued from untrusted code");
-  }
-  ByteBuffer response;
-  call(ocall_id(name), request, response, /*is_ecall=*/false);
-  return response;
-}
-#pragma GCC diagnostic pop
-
 void TransitionBridge::ecall(CallId id, const ByteBuffer& request,
                              ByteBuffer& response) {
   MSV_CHECK_MSG(id < slots_.size(), "bad call id");

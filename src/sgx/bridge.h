@@ -17,13 +17,13 @@
 // through a shared-memory request queue, replacing the 13k-cycle hardware
 // transition with a much cheaper handshake.
 //
-// Hot-path dispatch works on interned call IDs: registration assigns every
-// call name a dense uint32_t, and handlers, switchless flags and per-call
-// stats live in one flat table indexed by that ID — no string hashing or
-// tree walks per call. The real Edger8r does the same thing: generated
-// stubs invoke sgx_ecall(eid, ordinal, ...) with the function's table
-// index, never its name. The string-keyed API remains as a thin shim (one
-// interner lookup) for registration-time code and tests.
+// Dispatch works on interned call IDs: registration assigns every call
+// name a dense uint32_t, and handlers, switchless flags and per-call stats
+// live in one flat table indexed by that ID — no string hashing or tree
+// walks per call. The real Edger8r does the same thing: generated stubs
+// invoke sgx_ecall(eid, ordinal, ...) with the function's table index,
+// never its name. Callers resolve a name to its ID once (ecall_id /
+// ocall_id), at registration or set-up time.
 #pragma once
 
 #include <cstdint>
@@ -127,22 +127,11 @@ class TransitionBridge {
   // the way PartitionedApp walks its EDL spec.
   const std::vector<std::string>& call_names() const { return names_; }
 
-  // Invokes trusted function `name`. Must be called from the untrusted
-  // side; throws SecurityFault otherwise (the hardware would fault).
-  [[deprecated(
-      "string dispatch is a registration-time shim; hot paths resolve an "
-      "ecall_id() once and use the CallId overload")]]
-  ByteBuffer ecall(const std::string& name, const ByteBuffer& request);
-
-  // Invokes untrusted function `name` from inside the enclave.
-  [[deprecated(
-      "string dispatch is a registration-time shim; hot paths resolve an "
-      "ocall_id() once and use the CallId overload")]]
-  ByteBuffer ocall(const std::string& name, const ByteBuffer& request);
-
-  // Hot path: dispatch by interned ID; the response is written into
-  // `response` (cleared first). Identical cycle charges to the string API.
+  // Invokes trusted function `id`. Must be called from the untrusted
+  // side; throws SecurityFault otherwise (the hardware would fault). The
+  // response is written into `response` (cleared first).
   void ecall(CallId id, const ByteBuffer& request, ByteBuffer& response);
+  // Invokes untrusted function `id` from inside the enclave.
   void ocall(CallId id, const ByteBuffer& request, ByteBuffer& response);
 
   // Marks `name` (ecall or ocall) as switchless: subsequent invocations

@@ -7,6 +7,7 @@
 namespace msv::shim {
 namespace {
 
+// Indexed by EnclaveShim::Ocall.
 constexpr const char* kOcallNames[] = {
     "ocall_fopen",  "ocall_fwrite", "ocall_fread",  "ocall_fseek",
     "ocall_fflush", "ocall_fclose", "ocall_access", "ocall_stat",
@@ -17,7 +18,10 @@ constexpr const char* kOcallNames[] = {
 
 EnclaveShim::EnclaveShim(Env& env, sgx::TransitionBridge& bridge, HostIo& host,
                          MemoryDomain& enclave_domain)
-    : env_(env), bridge_(bridge), host_(host), enclave_domain_(enclave_domain) {}
+    : env_(env), bridge_(bridge), host_(host), enclave_domain_(enclave_domain) {
+  static_assert(std::size(kOcallNames) == kOcallCount);
+  ids_.fill(sgx::kNoCallId);
+}
 
 void EnclaveShim::add_edl_entries(sgx::EdlSpec& edl) {
   for (const char* name : kOcallNames) {
@@ -38,22 +42,28 @@ void EnclaveShim::register_ocalls() {
   MSV_CHECK_MSG(!registered_, "shim ocalls registered twice");
   registered_ = true;
 
-  bridge_.register_ocall("ocall_fopen", [this](ByteReader& r) {
+  const auto add = [this](Ocall ocall, sgx::TransitionBridge::Handler h) {
+    ids_[ocall] = bridge_.register_ocall(kOcallNames[ocall], std::move(h));
+  };
+  add(kFopen, [this](ByteReader& r) {
     const std::string path = r.get_string();
     const auto mode = static_cast<vfs::OpenMode>(r.get_u8());
     ByteBuffer out;
     out.put_u64(host_.open(path, mode));
     return out;
   });
-  bridge_.register_ocall("ocall_fwrite", [this](ByteReader& r) {
+  add(kFwrite, [this](ByteReader& r) {
     const FileId id = r.get_u64();
     const std::uint64_t len = r.get_varint();
-    std::vector<std::uint8_t> buf(len);
-    r.get_bytes(buf.data(), len);
-    host_.write(id, buf.data(), len);
+    if (len > r.remaining()) {
+      throw RuntimeFault("ocall_fwrite: payload shorter than its length");
+    }
+    // The helper writes straight out of the marshalled request: the bridge
+    // already holds the one boundary copy of the payload.
+    host_.write(id, r.raw() + r.position(), len);
     return ByteBuffer();
   });
-  bridge_.register_ocall("ocall_fread", [this](ByteReader& r) {
+  add(kFread, [this](ByteReader& r) {
     const FileId id = r.get_u64();
     const std::uint64_t len = r.get_varint();
     std::vector<std::uint8_t> buf(len);
@@ -63,48 +73,48 @@ void EnclaveShim::register_ocalls() {
     out.put_bytes(buf.data(), got);
     return out;
   });
-  bridge_.register_ocall("ocall_fseek", [this](ByteReader& r) {
+  add(kFseek, [this](ByteReader& r) {
     const FileId id = r.get_u64();
     host_.seek(id, r.get_u64());
     return ByteBuffer();
   });
-  bridge_.register_ocall("ocall_fflush", [this](ByteReader& r) {
+  add(kFflush, [this](ByteReader& r) {
     host_.flush(r.get_u64());
     return ByteBuffer();
   });
-  bridge_.register_ocall("ocall_fclose", [this](ByteReader& r) {
+  add(kFclose, [this](ByteReader& r) {
     host_.close(r.get_u64());
     return ByteBuffer();
   });
-  bridge_.register_ocall("ocall_access", [this](ByteReader& r) {
+  add(kAccess, [this](ByteReader& r) {
     ByteBuffer out;
     out.put_u8(host_.exists(r.get_string()) ? 1 : 0);
     return out;
   });
-  bridge_.register_ocall("ocall_stat", [this](ByteReader& r) {
+  add(kStat, [this](ByteReader& r) {
     ByteBuffer out;
     out.put_u64(host_.file_size(r.get_string()));
     return out;
   });
-  bridge_.register_ocall("ocall_unlink", [this](ByteReader& r) {
+  add(kUnlink, [this](ByteReader& r) {
     host_.remove(r.get_string());
     return ByteBuffer();
   });
-  bridge_.register_ocall("ocall_listdir", [this](ByteReader& r) {
+  add(kListdir, [this](ByteReader& r) {
     const auto names = host_.list(r.get_string());
     ByteBuffer out;
     out.put_varint(names.size());
     for (const auto& n : names) out.put_string(n);
     return out;
   });
-  bridge_.register_ocall("ocall_mmap", [this](ByteReader& r) {
+  add(kMmap, [this](ByteReader& r) {
     // The helper validates the path; the enclave-side map() fetches pages
     // on demand through ocall_mmap_fetch.
     ByteBuffer out;
     out.put_u64(host_.file_size(r.get_string()));
     return out;
   });
-  bridge_.register_ocall("ocall_mmap_fetch", [this](ByteReader& r) {
+  add(kMmapFetch, [this](ByteReader& r) {
     r.get_u64();  // page index; the helper reads it from its own mapping
     env_.clock.advance(env_.cost.soft_page_fault_cycles);
     // The page content travels back as the response payload; the bridge
@@ -116,9 +126,10 @@ void EnclaveShim::register_ocalls() {
   });
 }
 
-ByteBuffer EnclaveShim::relay(const std::string& ocall,
-                              const ByteBuffer& request) {
-  return bridge_.ocall(ocall, request);
+ByteBuffer EnclaveShim::relay(Ocall ocall, const ByteBuffer& request) {
+  ByteBuffer response;
+  bridge_.ocall(ids_[ocall], request, response);
+  return response;
 }
 
 FileId EnclaveShim::open(const std::string& path, vfs::OpenMode mode) {
@@ -126,7 +137,7 @@ FileId EnclaveShim::open(const std::string& path, vfs::OpenMode mode) {
   ByteBuffer req;
   req.put_string(path);
   req.put_u8(static_cast<std::uint8_t>(mode));
-  ByteBuffer resp = relay("ocall_fopen", req);
+  ByteBuffer resp = relay(kFopen, req);
   ByteReader r(resp);
   return r.get_u64();
 }
@@ -138,7 +149,7 @@ void EnclaveShim::write(FileId file, const void* buf, std::uint64_t len) {
   req.put_u64(file);
   req.put_varint(len);
   req.put_bytes(buf, len);
-  relay("ocall_fwrite", req);
+  relay(kFwrite, req);
 }
 
 std::uint64_t EnclaveShim::read(FileId file, void* buf, std::uint64_t len) {
@@ -146,7 +157,7 @@ std::uint64_t EnclaveShim::read(FileId file, void* buf, std::uint64_t len) {
   ByteBuffer req;
   req.put_u64(file);
   req.put_varint(len);
-  ByteBuffer resp = relay("ocall_fread", req);
+  ByteBuffer resp = relay(kFread, req);
   ByteReader r(resp);
   const std::uint64_t got = r.get_varint();
   MSV_CHECK_MSG(got <= len, "shim helper returned too many bytes");
@@ -160,28 +171,28 @@ void EnclaveShim::seek(FileId file, std::uint64_t pos) {
   ByteBuffer req;
   req.put_u64(file);
   req.put_u64(pos);
-  relay("ocall_fseek", req);
+  relay(kFseek, req);
 }
 
 void EnclaveShim::flush(FileId file) {
   ++stats_.other_calls;
   ByteBuffer req;
   req.put_u64(file);
-  relay("ocall_fflush", req);
+  relay(kFflush, req);
 }
 
 void EnclaveShim::close(FileId file) {
   ++stats_.other_calls;
   ByteBuffer req;
   req.put_u64(file);
-  relay("ocall_fclose", req);
+  relay(kFclose, req);
 }
 
 bool EnclaveShim::exists(const std::string& path) {
   ++stats_.other_calls;
   ByteBuffer req;
   req.put_string(path);
-  ByteBuffer resp = relay("ocall_access", req);
+  ByteBuffer resp = relay(kAccess, req);
   ByteReader r(resp);
   return r.get_u8() != 0;
 }
@@ -190,7 +201,7 @@ std::uint64_t EnclaveShim::file_size(const std::string& path) {
   ++stats_.other_calls;
   ByteBuffer req;
   req.put_string(path);
-  ByteBuffer resp = relay("ocall_stat", req);
+  ByteBuffer resp = relay(kStat, req);
   ByteReader r(resp);
   return r.get_u64();
 }
@@ -199,14 +210,14 @@ void EnclaveShim::remove(const std::string& path) {
   ++stats_.other_calls;
   ByteBuffer req;
   req.put_string(path);
-  relay("ocall_unlink", req);
+  relay(kUnlink, req);
 }
 
 std::vector<std::string> EnclaveShim::list(const std::string& prefix) {
   ++stats_.other_calls;
   ByteBuffer req;
   req.put_string(prefix);
-  ByteBuffer resp = relay("ocall_listdir", req);
+  ByteBuffer resp = relay(kListdir, req);
   ByteReader r(resp);
   std::vector<std::string> names(r.get_varint());
   for (auto& n : names) n = r.get_string();
@@ -217,7 +228,7 @@ std::shared_ptr<MappedFile> EnclaveShim::map(const std::string& path) {
   ++stats_.maps;
   ByteBuffer req;
   req.put_string(path);
-  relay("ocall_mmap", req);  // charges the ocall; validates existence
+  relay(kMmap, req);  // charges the ocall; validates existence
   // The snapshot itself is pulled page by page on first touch through an
   // ocall per page — the reader-side ocalls the paper counts in §6.5.
   return std::make_shared<MappedFile>(
@@ -225,7 +236,7 @@ std::shared_ptr<MappedFile> EnclaveShim::map(const std::string& path) {
       [this](std::uint64_t page) {
         ByteBuffer req_page;
         req_page.put_u64(page);
-        relay("ocall_mmap_fetch", req_page);
+        relay(kMmapFetch, req_page);
       });
 }
 

@@ -11,6 +11,8 @@
 // what the TCB report charges for it.
 #pragma once
 
+#include <array>
+
 #include "sgx/bridge.h"
 #include "sgx/edl.h"
 #include "shim/host_io.h"
@@ -26,7 +28,8 @@ class EnclaveShim final : public IoService {
   EnclaveShim(Env& env, sgx::TransitionBridge& bridge, HostIo& host,
               MemoryDomain& enclave_domain);
 
-  // Registers the ocall handlers on the bridge. Must be called once,
+  // Registers the ocall handlers on the bridge and keeps their interned
+  // IDs, through which every relayed call dispatches. Must be called once,
   // before any relayed call.
   void register_ocalls();
 
@@ -52,7 +55,24 @@ class EnclaveShim final : public IoService {
   const IoStats& stats() const override { return stats_; }
 
  private:
-  ByteBuffer relay(const std::string& ocall, const ByteBuffer& request);
+  // The relayed routines, in EDL order (kOcallNames in enclave_shim.cc).
+  enum Ocall : std::size_t {
+    kFopen,
+    kFwrite,
+    kFread,
+    kFseek,
+    kFflush,
+    kFclose,
+    kAccess,
+    kStat,
+    kUnlink,
+    kListdir,
+    kMmap,
+    kMmapFetch,
+    kOcallCount
+  };
+
+  ByteBuffer relay(Ocall ocall, const ByteBuffer& request);
 
   Env& env_;
   sgx::TransitionBridge& bridge_;
@@ -60,6 +80,8 @@ class EnclaveShim final : public IoService {
   MemoryDomain& enclave_domain_;
   IoStats stats_;
   bool registered_ = false;
+  // Bridge IDs indexed by Ocall, set by register_ocalls().
+  std::array<sgx::CallId, kOcallCount> ids_;
 };
 
 }  // namespace msv::shim

@@ -55,7 +55,8 @@ void MappedFile::read(std::uint64_t offset, void* dst, std::uint64_t len) {
   }
   touch_range(offset, len);
   domain_.charge_traffic(len);
-  std::memcpy(dst, data_->data() + offset, len);
+  // An empty mapping's data() may be null; memcpy needs valid pointers.
+  if (len != 0) std::memcpy(dst, data_->data() + offset, len);
 }
 
 std::uint32_t MappedFile::read_u32(std::uint64_t offset) {

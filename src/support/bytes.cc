@@ -39,6 +39,9 @@ double ByteReader::get_f64() {
 
 void ByteReader::get_bytes(void* p, std::size_t n) {
   need(n);
+  // An empty field may come with a null destination (the data() of an
+  // empty vector); memcpy requires valid pointers even for zero bytes.
+  if (n == 0) return;
   std::memcpy(p, data_ + pos_, n);
   pos_ += n;
 }

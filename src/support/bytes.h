@@ -61,7 +61,9 @@ class ByteBuffer {
     }
     put_u8(static_cast<std::uint8_t>(v));
   }
+  // `p` may be null when `n` is 0.
   void put_bytes(const void* p, std::size_t n) {
+    if (n == 0) return;
     const auto* b = static_cast<const std::uint8_t*>(p);
     data_.insert(data_.end(), b, b + n);
   }

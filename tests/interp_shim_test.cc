@@ -281,6 +281,22 @@ TEST_F(ShimTest, MetadataCallsRelayed) {
   EXPECT_FALSE(env_.fs->exists("a.txt"));
 }
 
+TEST_F(ShimTest, FwriteLengthPrefixPastPayloadRejected) {
+  in_enclave([&] {
+    const auto f = shim_->open("short.bin", vfs::OpenMode::kWrite);
+    ByteBuffer req;
+    req.put_u64(f);
+    req.put_varint(64);  // claims 64 bytes ...
+    req.put_bytes("ten bytes.", 10);  // ... but carries 10
+    ByteBuffer resp;
+    EXPECT_THROW(bridge_->ocall(bridge_->ocall_id("ocall_fwrite"), req, resp),
+                 RuntimeFault);
+    shim_->close(f);
+  });
+  EXPECT_EQ(env_.fs->file_size("short.bin"), 0u);
+  EXPECT_EQ(host_.stats().writes, 0u);
+}
+
 TEST_F(ShimTest, ShimCallsOutsideEnclaveFault) {
   EXPECT_THROW(shim_->open("x", vfs::OpenMode::kWrite), SecurityFault)
       << "the shim's ocalls only work from the trusted side";

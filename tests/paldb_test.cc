@@ -8,6 +8,7 @@
 #include "shim/enclave_shim.h"
 #include "shim/host_io.h"
 #include "support/error.h"
+#include "support/sha256.h"
 
 namespace msv::apps::paldb {
 namespace {
@@ -160,6 +161,81 @@ TEST_F(PaldbTest, EnclaveReaderPaysMoreThanHostReader) {
   // The read-side penalty is real but modest — which is exactly why the
   // paper's RUWT scheme (reads outside) barely improves on NoPart (§6.5).
   EXPECT_GT(enclave_cost, host_cost + host_cost / 4);
+}
+
+// Pins the store build as run from inside an enclave: the file it
+// writes, the shim ocalls it makes and the cycles it is charged. The
+// values staging stream is read back in 64 KiB chunks; its records are
+// laid out so that one value is longer than a chunk and one record's
+// varint length prefix is cut by a chunk boundary.
+TEST(PaldbEnclaveBuild, FileOcallsAndCyclesArePinned) {
+  Env env;
+  sgx::Enclave enclave(env, "e", Sha256::hash("img"), 4096);
+  enclave.init(Sha256::hash("img"));
+  sgx::EnclaveDomain trusted(env, enclave);
+  UntrustedDomain untrusted(env);
+  shim::HostIo host(env, untrusted);
+  sgx::TransitionBridge bridge(env, enclave);
+  shim::EnclaveShim shim(env, bridge, host, trusted);
+  shim.register_ocalls();
+
+  constexpr std::uint64_t kChunk = 64 << 10;
+  auto value_of = [](std::size_t i, std::size_t n) {
+    std::string v(n, ' ');
+    for (std::size_t j = 0; j < n; ++j) {
+      v[j] = static_cast<char>('a' + (i * 7 + j) % 26);
+    }
+    return v;
+  };
+  // Value 0: 100,000 bytes behind a 3-byte prefix, longer than a chunk.
+  // Value 1 fills the values stream up to one byte short of the second
+  // chunk boundary, where value 2's 2-byte prefix then starts.
+  std::vector<std::string> values = {value_of(0, 100'000),
+                                     value_of(1, 2 * kChunk - 1 - 100'003 - 3),
+                                     value_of(2, 200)};
+  for (std::size_t i = 3; i < 12; ++i) values.push_back(value_of(i, i * 5));
+
+  Cycles build_cycles = 0;
+  const sgx::CallId build = bridge.register_ecall("build", [&](ByteReader&) {
+    const Cycles t0 = env.clock.now();
+    StoreWriter writer(env, shim, "pin.paldb");
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      writer.put("key" + std::to_string(i), values[i]);
+    }
+    writer.close();
+    build_cycles = env.clock.now() - t0;
+    return ByteBuffer();
+  });
+  ByteBuffer resp;
+  bridge.ecall(build, ByteBuffer(), resp);
+
+  const auto file = env.fs->map("pin.paldb");
+  const std::string bytes(file->begin(), file->end());
+  EXPECT_EQ(Sha256::hex(Sha256::hash(bytes)),
+            "7277040ee11e6e2c42b04ce13929bd7e687b7040414a609a40780730770f6cc8");
+  EXPECT_EQ(build_cycles, 1'156'781u);
+
+  const auto& per_call = bridge.stats().per_call;
+  const sgx::CallStats& fwrite = per_call.at("ocall_fwrite");
+  const sgx::CallStats& fread = per_call.at("ocall_fread");
+  const sgx::CallStats& unlink = per_call.at("ocall_unlink");
+  EXPECT_EQ(fwrite.calls, 27u);  // 2 per put + header, data, index
+  EXPECT_EQ(fwrite.bytes_in, 264'113u);
+  EXPECT_EQ(fwrite.bytes_out, 0u);
+  EXPECT_EQ(fread.calls, 4u);  // keys: 1 chunk; values: 3
+  EXPECT_EQ(fread.bytes_in, 41u);
+  EXPECT_EQ(fread.bytes_out, 131'668u);
+  EXPECT_EQ(unlink.calls, 2u);
+  EXPECT_EQ(unlink.bytes_in, 40u);
+  EXPECT_EQ(unlink.bytes_out, 0u);
+
+  // The store reads back what was put, and the staging files are gone.
+  StoreReader reader(env, host, "pin.paldb");
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(reader.get("key" + std::to_string(i)), values[i]) << i;
+  }
+  EXPECT_FALSE(env.fs->exists("pin.paldb.keys.tmp"));
+  EXPECT_FALSE(env.fs->exists("pin.paldb.values.tmp"));
 }
 
 }  // namespace

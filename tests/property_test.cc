@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <type_traits>
 
 #include "apps/illustrative/bank.h"
 #include "apps/paldb/store.h"
@@ -171,10 +172,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, WireFuzz,
 
 // ---- PaldbFuzz -------------------------------------------------------------
 
+// gtest names a case after the raw bytes of its param, so a param with
+// padding gets stale stack bytes in its name and a new name on each build.
+// `tail` takes the place of that padding; its values keep the names the
+// cases are listed under.
 struct PaldbParam {
   std::uint64_t seed;
   int keys;
+  std::uint32_t tail;
 };
+static_assert(std::has_unique_object_representations_v<PaldbParam>);
 
 class PaldbFuzz : public ::testing::TestWithParam<PaldbParam> {};
 
@@ -215,16 +222,20 @@ TEST_P(PaldbFuzz, StoreReturnsExactlyWhatWasPut) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, PaldbFuzz,
-    ::testing::Values(PaldbParam{101, 1}, PaldbParam{102, 17},
-                      PaldbParam{103, 200}, PaldbParam{104, 1500},
-                      PaldbParam{105, 400}));
+    ::testing::Values(PaldbParam{101, 1, 0xFFFFFFFF},
+                      PaldbParam{102, 17, 0xAA},
+                      PaldbParam{103, 200, 0xFFFFFFFF},
+                      PaldbParam{104, 1500, 0xFA},
+                      PaldbParam{105, 400, 0}));
 
 // ---- RmiConsistency --------------------------------------------------------
 
 struct RmiParam {
   std::uint64_t seed;
   rmi::HashScheme scheme;
+  std::uint32_t tail = 0;  // in place of padding, as in PaldbParam
 };
+static_assert(std::has_unique_object_representations_v<RmiParam>);
 
 class RmiConsistency : public ::testing::TestWithParam<RmiParam> {};
 

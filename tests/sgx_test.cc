@@ -360,13 +360,7 @@ TEST(Bridge, HandlerExceptionRestoresSide) {
   EXPECT_EQ(bridge.side(), Side::kUntrusted);
 }
 
-// The next two tests exist to pin the deprecated string shim to the CallId
-// path (identical bytes, charges and per_call stats), so they call it on
-// purpose.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(Bridge, CallIdDispatchMatchesStringApi) {
+TEST(Bridge, CallIdDispatchResolvesInternedNames) {
   Env env;
   auto enclave = make_enclave(env);
   TransitionBridge bridge(env, *enclave);
@@ -381,45 +375,33 @@ TEST(Bridge, CallIdDispatchMatchesStringApi) {
   EXPECT_EQ(bridge.call_name(id), "f");
   EXPECT_EQ(bridge.find_call("nope"), kNoCallId);
   EXPECT_THROW(bridge.ocall_id("f"), RuntimeFault) << "no ocall slot filled";
+  EXPECT_THROW(bridge.ecall_id("nope"), RuntimeFault);
 
   ByteBuffer req;
   req.put_u32(41);
-  bridge.ecall("f", req);  // warm-up: EPC faults settle
-
-  const Cycles t0 = env.clock.now();
-  const ByteBuffer by_name = bridge.ecall("f", req);
-  const Cycles name_cost = env.clock.now() - t0;
-
-  ByteBuffer by_id;
-  const Cycles t1 = env.clock.now();
-  bridge.ecall(id, req, by_id);
-  const Cycles id_cost = env.clock.now() - t1;
-
-  // Same handler, same payload: identical bytes and identical simulated
-  // charge — the interned-ID path is a host-only optimisation.
-  ASSERT_EQ(by_name.size(), by_id.size());
-  EXPECT_EQ(ByteReader(by_name).get_u32(), 42u);
-  EXPECT_EQ(ByteReader(by_id).get_u32(), 42u);
-  EXPECT_EQ(name_cost, id_cost);
+  ByteBuffer resp;
+  bridge.ecall(id, req, resp);
+  EXPECT_EQ(ByteReader(resp).get_u32(), 42u);
 }
 
 TEST(Bridge, PerCallStatsSurviveIdTableMixedTraffic) {
   // Regression for the string-table -> flat-ID-table migration: per_call
   // must stay name-keyed and correct under mixed ecall / nested-ocall /
-  // switchless traffic driven through both the string and the ID API.
+  // switchless traffic.
   Env env;
   auto enclave = make_enclave(env);
   TransitionBridge bridge(env, *enclave);
 
-  bridge.register_ocall("log", [](ByteReader& r) {
+  const CallId log_id = bridge.register_ocall("log", [](ByteReader& r) {
     r.get_u32();
     return ByteBuffer();
   });
   const CallId work_id =
-      bridge.register_ecall("work", [&bridge](ByteReader& r) {
+      bridge.register_ecall("work", [&bridge, log_id](ByteReader& r) {
         ByteBuffer msg;
         msg.put_u32(r.get_u32());
-        bridge.ocall("log", msg);  // nested ocall from trusted side
+        ByteBuffer nested;
+        bridge.ocall(log_id, msg, nested);  // nested ocall from trusted side
         ByteBuffer out;
         out.put_u32(1);
         return out;
@@ -430,10 +412,8 @@ TEST(Bridge, PerCallStatsSurviveIdTableMixedTraffic) {
 
   ByteBuffer req;
   req.put_u32(9);
-  bridge.ecall("work", req);  // string path
   ByteBuffer resp;
-  bridge.ecall(work_id, req, resp);  // ID path
-  bridge.ecall(work_id, req, resp);
+  for (int i = 0; i < 3; ++i) bridge.ecall(work_id, req, resp);
   for (int i = 0; i < 4; ++i) bridge.ecall(ping_id, ByteBuffer(), resp);
 
   const BridgeStats& s = bridge.stats();
@@ -450,8 +430,6 @@ TEST(Bridge, PerCallStatsSurviveIdTableMixedTraffic) {
   EXPECT_EQ(s.per_call.at("work").bytes_out, 12u);  // 3 x put_u32 response
   EXPECT_EQ(s.per_call.at("ping").bytes_in, 0u);
 }
-
-#pragma GCC diagnostic pop
 
 TEST(Edl, RendersTrustedAndUntrustedSections) {
   EdlSpec spec;

@@ -141,6 +141,18 @@ TEST(ByteReader, TruncatedInputThrows) {
   EXPECT_THROW(r.get_u32(), RuntimeFault);
 }
 
+TEST(ByteReader, ZeroBytesIntoNullFromEmptyReader) {
+  // An empty field decoded into an empty vector hands get_bytes a null
+  // destination; memcpy must not see it, even for zero bytes (UBSan).
+  const std::vector<std::uint8_t> empty;
+  ByteReader r(empty.data(), empty.size());
+  r.get_bytes(nullptr, 0);
+  EXPECT_TRUE(r.done());
+  ByteBuffer b;
+  b.put_bytes(nullptr, 0);
+  EXPECT_TRUE(b.empty());
+}
+
 TEST(ByteReader, SeekAndPosition) {
   ByteBuffer buf;
   buf.put_u32(1);
