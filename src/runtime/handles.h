@@ -4,6 +4,10 @@
 // addresses across an allocation. Instead it holds an index into the
 // isolate's handle table; the collector updates the table in place. Handle
 // table entries are GC roots.
+//
+// Each slot carries a reference count: create() hands out the first
+// reference, retain() adds one (a GcRef copy), and release() drops one,
+// freeing the slot for reuse when the last reference goes.
 #pragma once
 
 #include <cstdint>
@@ -20,8 +24,14 @@ constexpr ObjAddr kNullAddr = 0;
 
 class HandleTable {
  public:
-  // Creates a root slot holding `addr`; returns its index.
+  // Creates a root slot holding `addr` with one reference; returns its
+  // index.
   std::uint32_t create(ObjAddr addr);
+  void retain(std::uint32_t index) {
+    MSV_CHECK_MSG(index < refs_.size() && refs_[index] != 0,
+                  "retaining a dead handle");
+    ++refs_[index];
+  }
   void release(std::uint32_t index);
 
   ObjAddr get(std::uint32_t index) const;
@@ -34,13 +44,13 @@ class HandleTable {
   template <typename Fn>
   void for_each(Fn&& fn) {
     for (std::size_t i = 0; i < slots_.size(); ++i) {
-      if (used_[i]) fn(slots_[i]);
+      if (refs_[i] != 0) fn(slots_[i]);
     }
   }
 
  private:
   std::vector<ObjAddr> slots_;
-  std::vector<bool> used_;
+  std::vector<std::uint32_t> refs_;  // 0 = free
   std::vector<std::uint32_t> free_;
 };
 

@@ -1,5 +1,6 @@
 #include "runtime/heap.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "support/fnv.h"
@@ -27,7 +28,8 @@ Heap::Heap(Env& env, MemoryDomain& domain, HandleTable& handles,
       config_(std::move(config)),
       semi_bytes_(config_.max_bytes / 2),
       region_a_(domain.register_region(config_.name + "/semispace-a")),
-      region_b_(domain.register_region(config_.name + "/semispace-b")) {
+      region_b_(domain.register_region(config_.name + "/semispace-b")),
+      name_hash_(fnv1a32(config_.name)) {
   MSV_CHECK_MSG(semi_bytes_ >= 4096, "heap too small to be usable");
 }
 
@@ -49,12 +51,16 @@ ObjectHeader* Heap::header_mut(ObjAddr addr) {
 
 void Heap::ensure_space(std::vector<std::uint8_t>& space,
                         std::uint64_t needed) {
-  if (space.size() < needed) {
-    std::uint64_t target = space.empty() ? 1ull << 16 : space.size();
-    while (target < needed) target *= 2;
-    space.resize(std::min<std::uint64_t>(target, semi_bytes_));
-    if (space.size() < needed) space.resize(needed);
-  }
+  if (space.size() >= needed) return;
+  std::uint64_t target = space.empty() ? kFirstChunkBytes : space.size();
+  while (target < needed) target *= 2;
+  target = std::max(std::min(target, semi_bytes_), needed);
+  // Past the first chunk the semispace gets its whole reservation at once,
+  // so no buffer is ever outgrown (an outgrown buffer stays resident in the
+  // allocator); resize() still zero-fills only up to `target`, so pages the
+  // heap never reaches are never written.
+  if (target > kFirstChunkBytes) space.reserve(semi_bytes_);
+  space.resize(target);
 }
 
 std::uint32_t Heap::next_identity_hash() {
@@ -63,9 +69,8 @@ std::uint32_t Heap::next_identity_hash() {
   std::uint32_t h = 0;
   while (h == 0) {
     ++hash_counter_;
-    h = fnv1a32(config_.name) ^
-        static_cast<std::uint32_t>(
-            fnv1a64(&hash_counter_, sizeof(hash_counter_)));
+    h = name_hash_ ^ static_cast<std::uint32_t>(
+                         fnv1a64(&hash_counter_, sizeof(hash_counter_)));
   }
   return h;
 }

@@ -111,6 +111,10 @@ class Heap {
   // forwarded; returns its new address.
   ObjAddr forward(ObjAddr addr, std::uint64_t& to_top);
 
+  // A semispace's first buffer; a heap that outgrows it reserves the
+  // whole semispace.
+  static constexpr std::uint64_t kFirstChunkBytes = 1ull << 16;
+
   static std::uint32_t tag_bytes(std::uint32_t count) {
     return (count + 7u) & ~7u;
   }
@@ -129,6 +133,7 @@ class Heap {
   bool a_is_from_ = true;
   std::uint64_t top_ = 8;  // offset 0 is the null reference
   std::uint32_t hash_counter_ = 0;
+  std::uint32_t name_hash_;  // mixed into every identity hash
 
   HeapStats stats_;
   std::function<void(std::uint64_t, std::uint64_t)> gc_observer_;

@@ -5,34 +5,52 @@
 
 namespace msv::rt {
 
-struct GcRef::Root {
-  Isolate* isolate;
-  std::uint32_t handle;
-
-  Root(Isolate* iso, std::uint32_t h) : isolate(iso), handle(h) {}
-  ~Root() { isolate->handles().release(handle); }
-  Root(const Root&) = delete;
-  Root& operator=(const Root&) = delete;
-};
-
 GcRef::GcRef(Isolate& isolate, ObjAddr addr) {
   MSV_CHECK_MSG(addr != kNullAddr, "GcRef to null; use a default GcRef");
-  shared_ = std::make_shared<Root>(&isolate, isolate.handles().create(addr));
+  handle_ = isolate.handles().create(addr);
+  isolate_ = &isolate;
+}
+
+GcRef::GcRef(const GcRef& other)
+    : isolate_(other.isolate_), handle_(other.handle_) {
+  if (isolate_ != nullptr) isolate_->handles().retain(handle_);
+}
+
+GcRef::GcRef(GcRef&& other) noexcept
+    : isolate_(other.isolate_), handle_(other.handle_) {
+  other.isolate_ = nullptr;
+}
+
+GcRef& GcRef::operator=(const GcRef& other) {
+  // The copy retains before the move releases, so self-assignment (or a
+  // ref sharing this slot) never frees it in between.
+  return *this = GcRef(other);
+}
+
+GcRef& GcRef::operator=(GcRef&& other) noexcept {
+  if (this != &other) {
+    reset();
+    isolate_ = other.isolate_;
+    handle_ = other.handle_;
+    other.isolate_ = nullptr;
+  }
+  return *this;
+}
+
+void GcRef::reset() noexcept {
+  if (isolate_ == nullptr) return;
+  isolate_->handles().release(handle_);
+  isolate_ = nullptr;
 }
 
 ObjAddr GcRef::address() const {
-  if (!shared_) return kNullAddr;
-  return shared_->isolate->handles().get(shared_->handle);
-}
-
-Isolate* GcRef::isolate() const {
-  return shared_ ? shared_->isolate : nullptr;
+  if (isolate_ == nullptr) return kNullAddr;
+  return isolate_->handles().get(handle_);
 }
 
 bool GcRef::same_object(const GcRef& other) const {
   if (is_null() || other.is_null()) return is_null() && other.is_null();
-  return shared_->isolate == other.shared_->isolate &&
-         address() == other.address();
+  return isolate_ == other.isolate_ && address() == other.address();
 }
 
 ValueType Value::type() const {

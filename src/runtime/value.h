@@ -22,7 +22,8 @@ namespace msv::rt {
 class Isolate;
 
 // A rooted reference to a heap object of one isolate. Copies share the
-// same root slot; the slot is released when the last copy dies.
+// same root slot through its reference count in the handle table; the slot
+// is released when the last copy dies. A moved-from ref is null.
 class GcRef {
  public:
   GcRef() = default;  // null reference
@@ -30,18 +31,27 @@ class GcRef {
   // Roots `addr` in `isolate`'s handle table.
   GcRef(Isolate& isolate, ObjAddr addr);
 
-  bool is_null() const { return shared_ == nullptr; }
+  GcRef(const GcRef& other);
+  GcRef(GcRef&& other) noexcept;
+  GcRef& operator=(const GcRef& other);
+  GcRef& operator=(GcRef&& other) noexcept;
+  ~GcRef() { reset(); }
+
+  bool is_null() const { return isolate_ == nullptr; }
   explicit operator bool() const { return !is_null(); }
 
   // The object's current address (valid until the next allocation/GC).
   ObjAddr address() const;
-  Isolate* isolate() const;
+  Isolate* isolate() const { return isolate_; }
 
   bool same_object(const GcRef& other) const;
 
  private:
-  struct Root;
-  std::shared_ptr<Root> shared_;
+  // Drops this ref's reference to its slot and makes it null.
+  void reset() noexcept;
+
+  Isolate* isolate_ = nullptr;
+  std::uint32_t handle_ = 0;
 };
 
 enum class ValueType : std::uint8_t {

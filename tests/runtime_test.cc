@@ -2,7 +2,12 @@
 // isolates and value conversion.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "runtime/isolate.h"
 #include "sgx/enclave.h"
@@ -215,6 +220,131 @@ TEST_F(RuntimeTest, GcRefReleasesRootOnDestruction) {
     EXPECT_EQ(iso_.handles().live(), live_before + 1);
   }
   EXPECT_EQ(iso_.handles().live(), live_before);
+}
+
+TEST_F(RuntimeTest, HandleTableCountsReferencesAndRejectsDeadSlots) {
+  HandleTable t;
+  const auto a = t.create(8);
+  t.retain(a);
+  t.release(a);
+  EXPECT_EQ(t.live(), 1u) << "one reference is still held";
+  EXPECT_EQ(t.get(a), 8u);
+  t.release(a);
+  EXPECT_EQ(t.live(), 0u);
+  EXPECT_THROW(t.release(a), RuntimeFault);
+  EXPECT_THROW(t.retain(a), RuntimeFault);
+  EXPECT_THROW(t.release(99), RuntimeFault);
+}
+
+TEST_F(RuntimeTest, GcRefCopyMoveAndAssignment) {
+  const HandleTable& handles = iso_.handles();
+  const std::size_t base = handles.live();
+  GcRef a = iso_.make_ref(iso_.heap().alloc_instance(1, 0));
+  GcRef b = iso_.make_ref(iso_.heap().alloc_instance(2, 0));
+  ASSERT_EQ(handles.live(), base + 2);
+
+  GcRef copy(a);
+  EXPECT_TRUE(copy.same_object(a));
+  GcRef moved(std::move(copy));
+  EXPECT_TRUE(copy.is_null());
+  EXPECT_FALSE(copy);
+  EXPECT_EQ(copy.address(), kNullAddr);
+  EXPECT_EQ(copy.isolate(), nullptr);
+  EXPECT_TRUE(moved.same_object(a));
+  EXPECT_EQ(moved.isolate(), &iso_);
+  EXPECT_EQ(handles.live(), base + 2);
+
+  // Self-assignment (through an alias, so the compiler cannot see it)
+  // keeps the slot.
+  GcRef& alias = moved;
+  moved = alias;
+  EXPECT_TRUE(moved.same_object(a));
+  moved = std::move(alias);
+  EXPECT_TRUE(moved.same_object(a));
+  EXPECT_EQ(handles.live(), base + 2);
+
+  // Copy-assignment onto a live ref frees its old slot only with the last
+  // reference to it.
+  GcRef b_copy = b;
+  b = a;
+  EXPECT_TRUE(b.same_object(a));
+  EXPECT_EQ(handles.live(), base + 2);
+  b_copy = a;
+  EXPECT_EQ(handles.live(), base + 1);
+
+  // Move-assignment onto a live ref frees its old slot and nulls the
+  // source.
+  GcRef c = iso_.make_ref(iso_.heap().alloc_instance(3, 0));
+  EXPECT_EQ(handles.live(), base + 2);
+  c = std::move(b);
+  EXPECT_TRUE(b.is_null());
+  EXPECT_TRUE(c.same_object(a));
+  EXPECT_EQ(handles.live(), base + 1);
+
+  // A moved-from ref is usable again, and null assignment releases.
+  b = c;
+  EXPECT_TRUE(b.same_object(a));
+  a = GcRef();
+  b = GcRef();
+  c = GcRef();
+  b_copy = GcRef();
+  EXPECT_EQ(handles.live(), base + 1) << "`moved` still holds the slot";
+  moved = GcRef();
+  EXPECT_EQ(handles.live(), base);
+}
+
+TEST_F(RuntimeTest, RootSlotFreedByLastOfNCopiesInAnyOrder) {
+  std::array<int, 4> order{0, 1, 2, 3};
+  const std::size_t base = iso_.handles().live();
+  do {
+    std::vector<std::optional<GcRef>> copies(order.size());
+    {
+      const GcRef first = iso_.make_ref(iso_.heap().alloc_instance(1, 0));
+      for (auto& c : copies) c.emplace(first);
+    }
+    for (const int i : order) {
+      EXPECT_EQ(iso_.handles().live(), base + 1);
+      copies[i].reset();
+    }
+    EXPECT_EQ(iso_.handles().live(), base);
+  } while (std::next_permutation(order.begin(), order.end()));
+}
+
+TEST_F(RuntimeTest, SurvivorsCrossingFirstChunkDuringCheneyScan) {
+  // One root array, copied while the roots are forwarded, whose children
+  // only get copied by the Cheney scan: they take the to-space past its
+  // first 64 KiB buffer, so the semispace is reserved (and the buffer
+  // moves) in the middle of the scan.
+  constexpr std::uint32_t kChildren = 512;
+  Heap& heap = iso_.heap();
+  const GcRef root = iso_.make_ref(heap.alloc_array(kChildren));
+  std::vector<std::uint32_t> hashes;
+  auto name_of = [](std::uint32_t i) {
+    return std::string(120, static_cast<char>('a' + i % 26));
+  };
+  for (std::uint32_t i = 0; i < kChildren; ++i) {
+    const GcRef child = iso_.make_ref(heap.alloc_instance(9, 2));
+    const ObjAddr name = heap.alloc_string(name_of(i));
+    heap.set_slot(child.address(), 0, SlotValue::from_ref(name));
+    heap.set_slot(child.address(), 1,
+                  SlotValue::from_i32(static_cast<std::int32_t>(i)));
+    heap.set_slot(root.address(), i, SlotValue::from_ref(child.address()));
+    hashes.push_back(heap.identity_hash(child.address()));
+  }
+  const std::uint32_t root_hash = heap.identity_hash(root.address());
+  ASSERT_LT(heap.object_bytes(root.address()), 64u << 10);
+  ASSERT_EQ(heap.stats().gc_count, 0u);
+
+  heap.collect();
+  EXPECT_GT(heap.used_bytes(), 64u << 10);
+  EXPECT_EQ(heap.identity_hash(root.address()), root_hash);
+  for (std::uint32_t i = 0; i < kChildren; ++i) {
+    const ObjAddr child = heap.slot(root.address(), i).as_ref();
+    EXPECT_EQ(heap.class_id(child), 9u);
+    EXPECT_EQ(heap.identity_hash(child), hashes[i]);
+    EXPECT_EQ(heap.slot(child, 1).as_i32(), static_cast<std::int32_t>(i));
+    EXPECT_EQ(heap.string_at(heap.slot(child, 0).as_ref()), name_of(i));
+  }
 }
 
 TEST_F(RuntimeTest, ValueFieldRoundTrip) {
