@@ -253,6 +253,18 @@ StoreReader::StoreReader(Env& env, shim::IoService& io,
   key_count_ = map_->read_u64(8);
   index_offset_ = map_->read_u64(16);
   slot_count_ = map_->read_u64(24);
+  // The header comes from a file: every probe below relies on these.
+  const std::uint64_t size = map_->size();
+  if (index_offset_ < kHeaderBytes || index_offset_ > size) {
+    throw RuntimeFault("corrupt store: index outside the file: " + path);
+  }
+  if (slot_count_ == 0 || (slot_count_ & (slot_count_ - 1)) != 0) {
+    throw RuntimeFault("corrupt store: slot count not a power of two: " +
+                       path);
+  }
+  if (slot_count_ > (size - index_offset_) / kSlotBytes) {
+    throw RuntimeFault("corrupt store: index runs past the end: " + path);
+  }
 }
 
 std::optional<std::string> StoreReader::get(std::string_view key) {
@@ -266,7 +278,13 @@ std::optional<std::string> StoreReader::get(std::string_view key) {
     const std::uint64_t slot_hash = map_->read_u64(slot_off);
     if (slot_hash == 0) return std::nullopt;
     if (slot_hash == h) {
-      const std::uint64_t rec_off = map_->read_u64(slot_off + 8) - 1;
+      // The slot stores the record's offset + 1; the record must start
+      // inside the data region.
+      const std::uint64_t stored = map_->read_u64(slot_off + 8);
+      if (stored == 0 || stored > index_offset_ - kHeaderBytes) {
+        throw RuntimeFault("corrupt store: slot points outside the data");
+      }
+      const std::uint64_t rec_off = stored - 1;
       // Read the record: key (verify), then value. Records are usually
       // small; pull a bounded window from the mapping and grow it if the
       // record turns out to be larger.

@@ -216,7 +216,10 @@ std::uint64_t get_varint(ByteReader& in) {
   int shift = 0;
   while (true) {
     const std::uint8_t b = in.get_u8();
-    if (shift >= 64) throw RuntimeFault("ByteReader: varint too long");
+    // As ByteReader::get_varint: the 10th byte holds bit 63 only.
+    if (shift == 63 && b > 1) {
+      throw RuntimeFault("ByteReader: varint too long");
+    }
     v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
     if (!(b & 0x80)) break;
     shift += 7;

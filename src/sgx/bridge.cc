@@ -142,11 +142,11 @@ void TransitionBridge::ecall(CallId id, const ByteBuffer& request,
   if (!slots_[id].ecall) {
     throw RuntimeFault("no ecall named '" + names_[id] + "' in the EDL");
   }
-  call(id, request, response, /*is_ecall=*/true);
+  call(id, request, {}, response, /*is_ecall=*/true);
 }
 
 void TransitionBridge::ocall(CallId id, const ByteBuffer& request,
-                             ByteBuffer& response) {
+                             ByteBuffer& response, Payload payload) {
   MSV_CHECK_MSG(id < slots_.size(), "bad call id");
   if (side() != Side::kTrusted) {
     throw SecurityFault("ocall '" + names_[id] +
@@ -155,7 +155,7 @@ void TransitionBridge::ocall(CallId id, const ByteBuffer& request,
   if (!slots_[id].ocall) {
     throw RuntimeFault("no ocall named '" + names_[id] + "' in the EDL");
   }
-  call(id, request, response, /*is_ecall=*/false);
+  call(id, request, payload, response, /*is_ecall=*/false);
 }
 
 TransitionBridge::CallCtx& TransitionBridge::ctx() const {
@@ -166,7 +166,8 @@ TransitionBridge::CallCtx& TransitionBridge::ctx() const {
 }
 
 void TransitionBridge::call(CallId id, const ByteBuffer& request,
-                            ByteBuffer& response, bool is_ecall) {
+                            Payload payload, ByteBuffer& response,
+                            bool is_ecall) {
   Slot& slot = slots_[id];
 
   // Fault window poll: fires every due plan event (pressure windows open/
@@ -181,9 +182,10 @@ void TransitionBridge::call(CallId id, const ByteBuffer& request,
     if (flight_rec_ == nullptr) {
       flight_rec_ = &bus->recorder(enclave_.name());
     }
-    flight_rec_->record(telemetry::FlightEventKind::kBridge, names_[id],
-                        static_cast<std::int64_t>(request.size()),
-                        is_ecall ? 1 : 0);
+    flight_rec_->record(
+        telemetry::FlightEventKind::kBridge, names_[id],
+        static_cast<std::int64_t>(request.size() + payload.size()),
+        is_ecall ? 1 : 0);
   }
 
   // Transition span: covers handshake, TCS acquisition, copies and the
@@ -200,12 +202,13 @@ void TransitionBridge::call(CallId id, const ByteBuffer& request,
     SwitchlessRing* ring = is_ecall ? ecall_ring_.get() : ocall_ring_.get();
     if (workers_running_ && ring != nullptr && sched_ != nullptr &&
         sched_->in_task()) {
-      call_via_ring(*ring, id, request, response);
+      call_via_ring(*ring, id, request, payload, response);
       return;
     }
     env_.clock.advance(env_.cost.switchless_call_cycles);
     slot.stats.transition_cycles += env_.cost.switchless_call_cycles;
-    execute_call(slot, request, response, is_ecall, /*switchless=*/true);
+    execute_call(slot, request, payload, response, is_ecall,
+                 /*switchless=*/true);
     return;
   }
 
@@ -220,7 +223,7 @@ void TransitionBridge::call(CallId id, const ByteBuffer& request,
     try {
       charge_transition(env_.cost.ecall_cycles);
       slot.stats.transition_cycles += env_.cost.ecall_cycles;
-      execute_call(slot, request, response, /*is_ecall=*/true,
+      execute_call(slot, request, payload, response, /*is_ecall=*/true,
                    /*switchless=*/false);
     } catch (...) {
       tcs.release();
@@ -232,7 +235,7 @@ void TransitionBridge::call(CallId id, const ByteBuffer& request,
 
   charge_transition(env_.cost.ocall_cycles);
   slot.stats.transition_cycles += env_.cost.ocall_cycles;
-  execute_call(slot, request, response, /*is_ecall=*/false,
+  execute_call(slot, request, payload, response, /*is_ecall=*/false,
                /*switchless=*/false);
 }
 
@@ -253,26 +256,29 @@ void TransitionBridge::charge_transition(Cycles cycles) {
 }
 
 void TransitionBridge::execute_call(Slot& slot, const ByteBuffer& request,
-                                    ByteBuffer& response, bool is_ecall,
-                                    bool switchless) {
+                                    Payload payload, ByteBuffer& response,
+                                    bool is_ecall, bool switchless) {
   if (switchless) ++stats_.switchless_calls;
   env_.clock.advance(env_.cost.edge_call_cycles);
   slot.stats.transition_cycles += env_.cost.edge_call_cycles;
 
-  // Request marshalling: the bridge copies the payload across the boundary
-  // (into the enclave for ecalls, out of it for ocalls).
-  env_.clock.advance(static_cast<Cycles>(static_cast<double>(request.size()) *
+  // Request marshalling: the bridge copies the request and its out-of-line
+  // payload across the boundary (into the enclave for ecalls, out of it
+  // for ocalls). The payload's copy is charged as if it were appended to
+  // the request; the handler then reads the caller's buffer in place.
+  const std::size_t request_bytes = request.size() + payload.size();
+  env_.clock.advance(static_cast<Cycles>(static_cast<double>(request_bytes) *
                                          env_.cost.edge_copy_cycles_per_byte));
 
   if (is_ecall) {
     ++stats_.ecalls;
-    stats_.bytes_in += request.size();
+    stats_.bytes_in += request_bytes;
   } else {
     ++stats_.ocalls;
-    stats_.bytes_out += request.size();
+    stats_.bytes_out += request_bytes;
   }
   ++slot.stats.calls;
-  slot.stats.bytes_in += request.size();
+  slot.stats.bytes_in += request_bytes;
 
   // Mid-ecall fault poll: the payload is inside, the TCS is bound, the
   // handler is about to run — the point where SGX_ERROR_ENCLAVE_LOST
@@ -282,19 +288,17 @@ void TransitionBridge::execute_call(Slot& slot, const ByteBuffer& request,
   // Per-task call context: stable reference (node-based map), valid even
   // if the handler suspends and other tasks create contexts meanwhile.
   CallCtx& c = ctx();
-  c.side_stack.push_back(is_ecall ? Side::kTrusted : Side::kUntrusted);
-  c.switchless_stack.push_back(switchless);
+  c.frames.push_back(
+      {is_ecall ? Side::kTrusted : Side::kUntrusted, switchless, payload});
   response.clear();
   try {
     ByteReader reader(request);
     (is_ecall ? slot.ecall : slot.ocall)(reader, response);
   } catch (...) {
-    c.side_stack.pop_back();
-    c.switchless_stack.pop_back();
+    c.frames.pop_back();
     throw;
   }
-  c.side_stack.pop_back();
-  c.switchless_stack.pop_back();
+  c.frames.pop_back();
 
   // Response marshalling back to the caller.
   env_.clock.advance(static_cast<Cycles>(static_cast<double>(response.size()) *
@@ -309,7 +313,7 @@ void TransitionBridge::execute_call(Slot& slot, const ByteBuffer& request,
 
 void TransitionBridge::call_via_ring(SwitchlessRing& ring, CallId id,
                                      const ByteBuffer& request,
-                                     ByteBuffer& response) {
+                                     Payload payload, ByteBuffer& response) {
   // Caller half of the handshake: write the descriptor, signal, park.
   env_.clock.advance(env_.cost.switchless_call_cycles);
   slots_[id].stats.transition_cycles += env_.cost.switchless_call_cycles;
@@ -317,6 +321,7 @@ void TransitionBridge::call_via_ring(SwitchlessRing& ring, CallId id,
   SwitchlessRing::Request r;
   r.call_id = id;
   r.request = &request;
+  r.payload = payload;
   r.response = &response;
   r.caller = sched_->current();
   // The descriptor carries the caller's trace context across the ring so
@@ -362,8 +367,8 @@ void TransitionBridge::run_switchless_worker(SwitchlessRing& ring,
       // The worker runs in its own call context: baseline untrusted, so
       // an ecall-ring worker pushing kTrusted mirrors the persistent
       // in-enclave thread executing the request.
-      execute_call(slot, *r->request, *r->response, is_ecall_ring,
-                   /*switchless=*/true);
+      execute_call(slot, *r->request, r->payload, *r->response,
+                   is_ecall_ring, /*switchless=*/true);
     } catch (const sched::TaskCancelled&) {
       // Teardown: the descriptor's owner may already be unwound — exit
       // without touching it.

@@ -6,10 +6,17 @@
 // across the boundary while charging the hardware transition cost, the
 // bridge dispatch cost and a per-byte copy cost to the virtual clock.
 //
+// An ocall may also pass one buffer out of line, the way Edger8r passes an
+// `[in, size=len]` pointer parameter: the bridge charges, counts and
+// records it exactly as if it were appended to the marshalled request,
+// and the handler reads it in place (current_payload()). The copy is
+// charged but never made, so a large write holds one host copy of its
+// bytes instead of two.
+//
 // Re-entrancy follows the SGX programming model: ecalls may only be issued
 // from untrusted code, ocalls only from trusted code, and an ocall handler
-// may issue nested ecalls (the SDK's "nested calls"), which the side stack
-// tracks.
+// may issue nested ecalls (the SDK's "nested calls"), which a stack of
+// handler frames tracks.
 //
 // The bridge also implements the paper's first future-work item (§7):
 // switchless calls in the style of HotCalls / the SDK's switchless mode. A
@@ -31,6 +38,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -91,6 +99,9 @@ struct BridgeStats {
   std::map<std::string, CallStats> per_call;
 };
 
+// An out-of-line call buffer, read in place by the handler.
+using Payload = std::span<const std::uint8_t>;
+
 class TransitionBridge {
  public:
   // A handler consumes the marshalled request and produces the marshalled
@@ -131,8 +142,10 @@ class TransitionBridge {
   // side; throws SecurityFault otherwise (the hardware would fault). The
   // response is written into `response` (cleared first).
   void ecall(CallId id, const ByteBuffer& request, ByteBuffer& response);
-  // Invokes untrusted function `id` from inside the enclave.
-  void ocall(CallId id, const ByteBuffer& request, ByteBuffer& response);
+  // Invokes untrusted function `id` from inside the enclave. `payload` is
+  // the call's out-of-line buffer (empty when it has none).
+  void ocall(CallId id, const ByteBuffer& request, ByteBuffer& response,
+             Payload payload = {});
 
   // Marks `name` (ecall or ocall) as switchless: subsequent invocations
   // pay the worker-handshake cost instead of a hardware transition.
@@ -173,13 +186,16 @@ class TransitionBridge {
   const SwitchlessRingStats* ecall_ring_stats() const;
   const SwitchlessRingStats* ocall_ring_stats() const;
 
-  Side side() const { return ctx().side_stack.back(); }
+  Side side() const { return ctx().frames.back().side; }
   // True while executing a handler that was invoked switchlessly (the
   // serving worker thread is persistent and stays attached to its isolate;
   // relay dispatch uses this to skip the attach cost).
   bool current_call_switchless() const {
-    return ctx().switchless_stack.back();
+    return ctx().frames.back().switchless;
   }
+  // The out-of-line payload of the call whose handler is running; empty
+  // outside handlers and for calls that pass none.
+  Payload current_payload() const { return ctx().frames.back().payload; }
   const BridgeStats& stats() const;
   Enclave& enclave() { return enclave_; }
 
@@ -199,30 +215,36 @@ class TransitionBridge {
     telemetry::Category span_category = telemetry::Category::kBridge;
   };
 
-  // Call context: the side/switchless stacks of one logical thread. With
-  // a scheduler attached each task gets its own (task A can sit inside an
+  // Call context: the handler frames of one logical thread, innermost
+  // last, above a base frame for untrusted code outside any call. With a
+  // scheduler attached each task gets its own (task A can sit inside an
   // ecall handler while task B is still untrusted); code running outside
   // any task uses the main context, exactly the pre-scheduler behaviour.
+  struct Frame {
+    Side side = Side::kUntrusted;
+    bool switchless = false;
+    Payload payload;
+  };
   struct CallCtx {
-    std::vector<Side> side_stack{Side::kUntrusted};
-    std::vector<bool> switchless_stack{false};
+    std::vector<Frame> frames{Frame{}};
   };
 
   CallId intern(const std::string& name);
   CallId register_raw(const std::string& name, RawHandler handler,
                       bool is_ecall);
   void check_ecall_entry(const std::string& name) const;
-  void call(CallId id, const ByteBuffer& request, ByteBuffer& response,
-            bool is_ecall);
+  void call(CallId id, const ByteBuffer& request, Payload payload,
+            ByteBuffer& response, bool is_ecall);
   // Hardware transition cost: advance outside tasks, sleep inside them
   // (the spin occupies the caller's core, not the shared timeline).
   void charge_transition(Cycles cycles);
   // The post-handshake portion of a call: edge dispatch, copies, handler,
   // shared between the inline path and the ring workers.
-  void execute_call(Slot& slot, const ByteBuffer& request,
+  void execute_call(Slot& slot, const ByteBuffer& request, Payload payload,
                     ByteBuffer& response, bool is_ecall, bool switchless);
   void call_via_ring(SwitchlessRing& ring, CallId id,
-                     const ByteBuffer& request, ByteBuffer& response);
+                     const ByteBuffer& request, Payload payload,
+                     ByteBuffer& response);
   void run_switchless_worker(SwitchlessRing& ring, bool is_ecall_ring);
   CallCtx& ctx() const;
 

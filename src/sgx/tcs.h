@@ -27,6 +27,7 @@
 #include <deque>
 #include <exception>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -148,6 +149,9 @@ class SwitchlessRing {
   struct Request {
     std::uint32_t call_id = 0;  // CallId; kept as raw int to avoid a cycle
     const ByteBuffer* request = nullptr;
+    // The call's out-of-line payload (sgx::Payload), passed by reference
+    // like the request: the caller's buffer outlives the descriptor.
+    std::span<const std::uint8_t> payload;
     ByteBuffer* response = nullptr;
     Cycles enqueued_at = 0;
     std::uint64_t caller = 0;  // TaskId to wake on completion

@@ -1,6 +1,6 @@
 #include "shim/enclave_shim.h"
 
-#include <cstring>
+#include <string>
 
 #include "support/error.h"
 
@@ -55,12 +55,15 @@ void EnclaveShim::register_ocalls() {
   add(kFwrite, [this](ByteReader& r) {
     const FileId id = r.get_u64();
     const std::uint64_t len = r.get_varint();
-    if (len > r.remaining()) {
-      throw RuntimeFault("ocall_fwrite: payload shorter than its length");
+    // The data is the call's [in, size=len] buffer, passed out of line:
+    // the helper writes straight from it.
+    const sgx::Payload data = bridge_.current_payload();
+    if (len != data.size()) {
+      throw RuntimeFault("ocall_fwrite: length " + std::to_string(len) +
+                         " differs from its " + std::to_string(data.size()) +
+                         "-byte buffer");
     }
-    // The helper writes straight out of the marshalled request: the bridge
-    // already holds the one boundary copy of the payload.
-    host_.write(id, r.raw() + r.position(), len);
+    host_.write(id, data.data(), len);
     return ByteBuffer();
   });
   add(kFread, [this](ByteReader& r) {
@@ -126,9 +129,10 @@ void EnclaveShim::register_ocalls() {
   });
 }
 
-ByteBuffer EnclaveShim::relay(Ocall ocall, const ByteBuffer& request) {
+ByteBuffer EnclaveShim::relay(Ocall ocall, const ByteBuffer& request,
+                              sgx::Payload payload) {
   ByteBuffer response;
-  bridge_.ocall(ids_[ocall], request, response);
+  bridge_.ocall(ids_[ocall], request, response, payload);
   return response;
 }
 
@@ -148,8 +152,7 @@ void EnclaveShim::write(FileId file, const void* buf, std::uint64_t len) {
   ByteBuffer req;
   req.put_u64(file);
   req.put_varint(len);
-  req.put_bytes(buf, len);
-  relay(kFwrite, req);
+  relay(kFwrite, req, {static_cast<const std::uint8_t*>(buf), len});
 }
 
 std::uint64_t EnclaveShim::read(FileId file, void* buf, std::uint64_t len) {

@@ -72,7 +72,8 @@ class EnclaveShim final : public IoService {
     kOcallCount
   };
 
-  ByteBuffer relay(Ocall ocall, const ByteBuffer& request);
+  ByteBuffer relay(Ocall ocall, const ByteBuffer& request,
+                   sgx::Payload payload = {});
 
   Env& env_;
   sgx::TransitionBridge& bridge_;

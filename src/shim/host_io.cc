@@ -50,7 +50,9 @@ void MappedFile::touch_range(std::uint64_t offset, std::uint64_t len) {
 }
 
 void MappedFile::read(std::uint64_t offset, void* dst, std::uint64_t len) {
-  if (offset + len > data_->size()) {
+  // Overflow-safe: `offset + len` can wrap for an offset read from a
+  // corrupt file.
+  if (offset > data_->size() || len > data_->size() - offset) {
     throw RuntimeFault("mmap read past end of " + path_);
   }
   touch_range(offset, len);

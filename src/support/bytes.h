@@ -125,7 +125,9 @@ class ByteReader {
     int shift = 0;
     while (true) {
       const std::uint8_t b = get_u8();
-      if (shift >= 64) fail_varint();
+      // The 10th byte holds bit 63 only: anything above 1 (a set
+      // continuation bit included) would overflow 64 bits.
+      if (shift == 63 && b > 1) fail_varint();
       v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
       if (!(b & 0x80)) break;
       shift += 7;

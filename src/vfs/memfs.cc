@@ -32,7 +32,15 @@ class MemFile final : public File {
 
   void write(const void* buf, std::size_t n) override {
     MSV_CHECK_MSG(writable_, "write to a read-only MemFile");
-    if (pos_ + n > data_->size()) data_->resize(pos_ + n);
+    const std::uint64_t end = pos_ + n;
+    if (end > data_->size()) {
+      // Grow ahead of need: a write that outgrows the file reserves twice
+      // its new size, so later appends land in place instead of moving the
+      // file while its old copy is still live. Pages past the end are
+      // never written until a write reaches them.
+      if (end > data_->capacity()) data_->reserve(2 * end);
+      data_->resize(end);
+    }
     if (n != 0) std::memcpy(data_->data() + pos_, buf, n);
     pos_ += n;
   }

@@ -297,6 +297,26 @@ TEST_F(ShimTest, FwriteLengthPrefixPastPayloadRejected) {
   EXPECT_EQ(host_.stats().writes, 0u);
 }
 
+TEST_F(ShimTest, FwriteLengthDifferingFromBufferRejected) {
+  const std::uint8_t data[10] = {};
+  in_enclave([&] {
+    const auto f = shim_->open("mismatch.bin", vfs::OpenMode::kWrite);
+    for (const std::uint64_t declared : {11u, 64u, 9u, 0u}) {
+      ByteBuffer req;
+      req.put_u64(f);
+      req.put_varint(declared);
+      ByteBuffer resp;
+      EXPECT_THROW(bridge_->ocall(bridge_->ocall_id("ocall_fwrite"), req,
+                                  resp, data),
+                   RuntimeFault)
+          << "declared " << declared << " bytes for a 10-byte buffer";
+    }
+    shim_->close(f);
+  });
+  EXPECT_EQ(env_.fs->file_size("mismatch.bin"), 0u);
+  EXPECT_EQ(host_.stats().writes, 0u);
+}
+
 TEST_F(ShimTest, ShimCallsOutsideEnclaveFault) {
   EXPECT_THROW(shim_->open("x", vfs::OpenMode::kWrite), SecurityFault)
       << "the shim's ocalls only work from the trusted side";
@@ -326,6 +346,19 @@ TEST_F(ShimTest, MappedReadOutOfRangeThrows) {
     std::uint8_t buf[8];
     EXPECT_THROW(map->read(0, buf, 8), RuntimeFault);
   });
+}
+
+TEST_F(ShimTest, MappedReadRangeCheckDoesNotWrap) {
+  const std::string content(64, 'm');
+  env_.fs->open("m.bin", vfs::OpenMode::kWrite)
+      ->write(content.data(), content.size());
+  auto map = host_.map("m.bin");
+  std::uint8_t buf[16];
+  // offset + len wraps to 8, inside the file; the read must still fail.
+  EXPECT_THROW(map->read(~std::uint64_t{0} - 7, buf, 16), RuntimeFault);
+  EXPECT_THROW(map->read(65, buf, 0), RuntimeFault);
+  map->read(64, buf, 0);
+  EXPECT_EQ(map->pages_touched(), 0u);
 }
 
 TEST_F(ShimTest, HostIoRejectsClosedFile) {

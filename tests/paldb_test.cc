@@ -102,6 +102,63 @@ TEST_F(PaldbTest, CorruptMagicRejected) {
   EXPECT_THROW(StoreReader(env_, io_, "bad.paldb"), RuntimeFault);
 }
 
+TEST_F(PaldbTest, CorruptHeaderRejected) {
+  write_store("good.paldb", 1);
+  const auto good = env_.fs->map("good.paldb");
+  const std::uint64_t size = good->size();
+  const std::uint64_t index_offset = size - 16 * kSlotBytes;
+  // Writes a copy of the good store with the u64 at `offset` replaced.
+  auto corrupt = [&](std::uint64_t offset, std::uint64_t value) {
+    std::vector<std::uint8_t> bytes = *good;
+    for (int i = 0; i < 8; ++i) {
+      bytes[offset + i] = static_cast<std::uint8_t>(value >> (8 * i));
+    }
+    env_.fs->open("bad.paldb", vfs::OpenMode::kWrite)
+        ->write(bytes.data(), bytes.size());
+  };
+  {
+    StoreReader reader(env_, io_, "good.paldb");
+    ASSERT_EQ(reader.get("key0"), "value0");
+  }
+
+  // The index must lie inside the file, after the header. At 2^64 - 8 an
+  // unchecked `offset + len` wraps back into the file.
+  for (const std::uint64_t bad_index :
+       {~std::uint64_t{0} - 7, std::uint64_t{0}, kHeaderBytes - 1, size + 1,
+        index_offset + 8}) {
+    corrupt(16, bad_index);
+    EXPECT_THROW(StoreReader(env_, io_, "bad.paldb"), RuntimeFault)
+        << "index at " << bad_index;
+  }
+  // The slot count must be a nonzero power of two that fits the file.
+  for (const std::uint64_t bad_slots :
+       {std::uint64_t{0}, std::uint64_t{3}, std::uint64_t{24},
+        std::uint64_t{32}, std::uint64_t{1} << 60}) {
+    corrupt(24, bad_slots);
+    EXPECT_THROW(StoreReader(env_, io_, "bad.paldb"), RuntimeFault)
+        << bad_slots << " slots";
+  }
+  // A slot must point inside the data region: its stored offset + 1 is
+  // neither 0 nor past the data.
+  auto u64_at = [&](std::uint64_t offset) {
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i) {
+      v |= static_cast<std::uint64_t>((*good)[offset + i]) << (8 * i);
+    }
+    return v;
+  };
+  std::uint64_t slot = index_offset;  // key0's: the one slot in use
+  while (u64_at(slot) == 0) slot += kSlotBytes;
+  const std::uint64_t data_bytes = index_offset - kHeaderBytes;
+  for (const std::uint64_t bad_offset :
+       {std::uint64_t{0}, data_bytes + 1, ~std::uint64_t{0}}) {
+    corrupt(slot + 8, bad_offset);
+    StoreReader reader(env_, io_, "bad.paldb");
+    EXPECT_THROW(reader.get("key0"), RuntimeFault)
+        << "slot offset field " << bad_offset;
+  }
+}
+
 TEST_F(PaldbTest, WritesDoRegularIoReadsUseMmap) {
   const auto writes_before = io_.stats().writes;
   write_store("asym.paldb", 1000);

@@ -296,6 +296,22 @@ TEST(Wire, DeepListRoundTripsWithoutNativeRecursion) {
   }  // `back` chains destruct iteratively here
 }
 
+TEST(Wire, OverlongVarintRejectedByBothCodecs) {
+  // The 10th byte of a varint holds bit 63 alone. Dropping the bits above
+  // it would read {80 x9, 02} as a count of 0: an empty list.
+  const RefDecoder no_ref_decode = [](ByteReader&, WireTag) -> Value {
+    throw RuntimeFault("no refs");
+  };
+  ByteBuffer buf;
+  buf.put_u8(static_cast<std::uint8_t>(WireTag::kList));
+  for (int i = 0; i < 9; ++i) buf.put_u8(0x80);
+  buf.put_u8(0x02);
+  ByteReader r(buf);
+  EXPECT_THROW(decode_value(r, no_ref_decode), RuntimeFault);
+  ByteReader rc(buf);
+  EXPECT_THROW(decode_value_compat(rc, no_ref_decode), RuntimeFault);
+}
+
 TEST(Wire, LyingListCountIsRejectedNotAllocated) {
   // A corrupt (or hostile) frame can claim a list of 2^40 elements with
   // no payload behind it. Each element needs at least one tag byte, so a

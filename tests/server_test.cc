@@ -263,6 +263,55 @@ TEST(SwitchlessRing, SingleCallerCycleEquivalentToInlinePath) {
       << "the ring path must not invent or hide cycles (honesty contract)";
 }
 
+// One switchless ocall carrying a 512-byte out-of-line buffer, made from
+// inside an ecall, either inline (workers stopped) or through the ocall
+// ring. Returns the call's cycle cost; `in_place` reports whether the
+// handler read the caller's buffer itself.
+Cycles payload_ocall_cost(bool via_ring, bool& in_place) {
+  Env env;
+  auto enclave = make_enclave(env);
+  TransitionBridge bridge(env, *enclave);
+  sched::Scheduler sched(env);
+  bridge.attach_scheduler(sched);
+  const std::vector<std::uint8_t> data(512, 0x5a);
+  const CallId sink = bridge.register_ocall("sink", [&](ByteReader&) {
+    const sgx::Payload p = bridge.current_payload();
+    in_place = p.data() == data.data() && p.size() == data.size();
+    return ByteBuffer();
+  });
+  bridge.set_switchless(sink, true);
+  Cycles cost = 0;
+  const CallId enter = bridge.register_ecall("enter", [&](ByteReader&) {
+    ByteBuffer req, resp;
+    const Cycles t0 = env.clock.now();
+    bridge.ocall(sink, req, resp, data);
+    cost = env.clock.now() - t0;
+    return ByteBuffer();
+  });
+  if (via_ring) bridge.start_switchless_workers({}, {});
+  sched.spawn("caller", [&, enter] {
+    ByteBuffer req, resp;
+    bridge.ecall(enter, req, resp);
+  });
+  sched.run();
+  if (via_ring) {
+    EXPECT_EQ(bridge.stats().switchless_enqueued, 1u);
+    bridge.stop_switchless_workers();
+  }
+  return cost;
+}
+
+TEST(SwitchlessRing, DescriptorCarriesOutOfLinePayload) {
+  bool inline_in_place = false;
+  bool ring_in_place = false;
+  const Cycles inline_cost = payload_ocall_cost(false, inline_in_place);
+  const Cycles ring_cost = payload_ocall_cost(true, ring_in_place);
+  EXPECT_TRUE(inline_in_place);
+  EXPECT_TRUE(ring_in_place)
+      << "the worker reads the caller's buffer through the descriptor";
+  EXPECT_EQ(ring_cost, inline_cost);
+}
+
 TEST(SwitchlessRing, SleepWakePolicyChargesExactlyPerWakeup) {
   Env env;
   auto enclave = make_enclave(env);

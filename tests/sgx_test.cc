@@ -9,6 +9,7 @@
 #include "sgx/epc.h"
 #include "sim/env.h"
 #include "support/error.h"
+#include "telemetry/flight.h"
 
 namespace msv::sgx {
 namespace {
@@ -382,6 +383,80 @@ TEST(Bridge, CallIdDispatchResolvesInternedNames) {
   ByteBuffer resp;
   bridge.ecall(id, req, resp);
   EXPECT_EQ(ByteReader(resp).get_u32(), 42u);
+}
+
+// One ocall of a 4-byte header plus a 1000-byte buffer, issued from inside
+// an ecall with a flight recorder armed. The buffer is either appended to
+// the request or passed out of line.
+struct PayloadRun {
+  Cycles cycles = 0;
+  BridgeStats stats;
+  std::int64_t recorded_bytes = 0;  // the ocall's flight-recorder size
+  std::vector<std::uint8_t> seen;   // the buffer as the handler read it
+  bool read_in_place = false;
+};
+
+PayloadRun run_payload_ocall(bool out_of_line) {
+  Env env;
+  telemetry::FlightBus bus(env.telemetry);
+  env.telemetry.set_flight(&bus);
+  auto enclave = make_enclave(env);
+  TransitionBridge bridge(env, *enclave);
+  std::vector<std::uint8_t> data(1000);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 7);
+  }
+  PayloadRun run;
+  const CallId sink = bridge.register_ocall("sink", [&](ByteReader& r) {
+    EXPECT_EQ(r.get_u32(), 7u);
+    const Payload p = bridge.current_payload();
+    if (out_of_line) {
+      run.read_in_place = p.data() == data.data();
+      run.seen.assign(p.begin(), p.end());
+    } else {
+      EXPECT_TRUE(p.empty());
+      run.seen.assign(r.raw() + r.position(), r.raw() + r.position() +
+                                                  r.remaining());
+    }
+    return ByteBuffer();
+  });
+  const CallId enter = bridge.register_ecall("enter", [&](ByteReader&) {
+    ByteBuffer req, resp;
+    req.put_u32(7);
+    if (out_of_line) {
+      bridge.ocall(sink, req, resp, data);
+    } else {
+      req.put_bytes(data.data(), data.size());
+      bridge.ocall(sink, req, resp);
+    }
+    EXPECT_TRUE(bridge.current_payload().empty())
+        << "the payload belongs to the ocall's frame only";
+    return ByteBuffer();
+  });
+  ByteBuffer resp;
+  bridge.ecall(enter, ByteBuffer(), resp);
+  run.cycles = env.clock.now();
+  run.stats = bridge.stats();
+  for (const auto& ev : bus.recorder("test").events()) {
+    if (ev.name == "sink") run.recorded_bytes = ev.a;
+  }
+  env.telemetry.set_flight(nullptr);
+  return run;
+}
+
+TEST(Bridge, OutOfLinePayloadChargedAsIfAppended) {
+  const PayloadRun appended = run_payload_ocall(false);
+  const PayloadRun out_of_line = run_payload_ocall(true);
+  EXPECT_EQ(out_of_line.cycles, appended.cycles);
+  EXPECT_EQ(out_of_line.stats.bytes_out, appended.stats.bytes_out);
+  EXPECT_EQ(out_of_line.stats.bytes_in, appended.stats.bytes_in);
+  EXPECT_EQ(appended.stats.per_call.at("sink").bytes_in, 1004u);
+  EXPECT_EQ(out_of_line.stats.per_call.at("sink").bytes_in, 1004u);
+  EXPECT_EQ(appended.recorded_bytes, 1004);
+  EXPECT_EQ(out_of_line.recorded_bytes, 1004);
+  EXPECT_EQ(out_of_line.seen, appended.seen);
+  EXPECT_TRUE(out_of_line.read_in_place)
+      << "the handler read the caller's buffer, not a copy";
 }
 
 TEST(Bridge, PerCallStatsSurviveIdTableMixedTraffic) {

@@ -123,6 +123,24 @@ TEST(ByteBuffer, VarintRoundTrip) {
   EXPECT_TRUE(r.done());
 }
 
+TEST(ByteReader, VarintTenthByteAboveOneRejected) {
+  // The 10th byte of a varint carries bit 63 alone; higher bits do not
+  // fit in 64 and must not be dropped silently.
+  auto decode = [](std::uint8_t last) {
+    std::vector<std::uint8_t> bytes(9, 0xff);
+    bytes.push_back(last);
+    ByteReader r(bytes.data(), bytes.size());
+    const std::uint64_t v = r.get_varint();
+    EXPECT_TRUE(r.done());
+    return v;
+  };
+  EXPECT_EQ(decode(0x01), 0xffffffffffffffffull);
+  EXPECT_EQ(decode(0x00), 0x7fffffffffffffffull);
+  EXPECT_THROW(decode(0x02), RuntimeFault);
+  EXPECT_THROW(decode(0x7f), RuntimeFault);
+  EXPECT_THROW(decode(0x81), RuntimeFault) << "an 11th byte is never valid";
+}
+
 TEST(ByteBuffer, StringRoundTrip) {
   ByteBuffer buf;
   buf.put_string("hello");

@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <vector>
 
 #include "support/error.h"
 #include "vfs/fs.h"
@@ -65,6 +66,28 @@ TEST(MemFs, SparseWriteExtends) {
   f->seek(100);
   f->write("x", 1);
   EXPECT_EQ(f->size(), 101u);
+}
+
+TEST(MemFs, AppendAfterLargeWriteStaysInPlace) {
+  // The PalDB store's shape: a small header, a large data write, then a
+  // smaller index append. The large write reserves ahead of need, so the
+  // append lands in place instead of moving the file.
+  MemFs fs;
+  auto f = fs.open("store", OpenMode::kWrite);
+  const std::vector<std::uint8_t> header(32, 0x11);
+  const std::vector<std::uint8_t> data(1 << 20, 0x22);
+  const std::vector<std::uint8_t> index(1 << 18, 0x33);
+  f->write(header.data(), header.size());
+  f->write(data.data(), data.size());
+  const std::uint8_t* const before = fs.map("store")->data();
+  f->write(index.data(), index.size());
+
+  const auto file = fs.map("store");
+  EXPECT_EQ(file->data(), before) << "the append reallocated the file";
+  std::vector<std::uint8_t> expected = header;
+  expected.insert(expected.end(), data.begin(), data.end());
+  expected.insert(expected.end(), index.begin(), index.end());
+  EXPECT_EQ(*file, expected);
 }
 
 TEST(MemFs, ListByPrefix) {
