@@ -1,13 +1,13 @@
-// Ablation B: the RMI hot-path machinery (interned call IDs, wire-buffer
-// arena, primitive fixed-layout encoder).
+// Ablation B: the RMI hot path (interned call IDs, wire-buffer arena,
+// primitive fixed-layout encoder, quickened relay targets).
 //
-// Unlike the other benchmarks, the quantity of interest here is HOST
-// wall-clock throughput: the fast path is a pure simulator optimisation
-// and must leave every simulated cycle unchanged. Each scenario therefore
-// runs twice — once with AppConfig::fast_rmi = false (the legacy
-// string-dispatch path: per-call name hashing, fresh wire buffers, eagerly
-// built ref-encoder closures) and once with the fast path — and the run
-// aborts if the two disagree on a single simulated cycle.
+// The quantity of interest is HOST wall-clock throughput: the hot path is
+// a pure simulator optimisation and must leave every simulated cycle
+// unchanged. Its speedup over the pre-overhaul string-dispatch path is
+// recorded in BENCH_rmi.json; that path is gone, so the honesty contract
+// is now an exact pin. Each scenario's simulated cycles must equal the
+// values both paths produced while they coexisted, and the run aborts on
+// a single cycle of difference.
 //
 // Scenarios: {hardware transition, switchless} x {all-primitive signature
 // (Worker.set(int)), generic signature (Worker.set_list(List))}.
@@ -22,16 +22,30 @@
 namespace msv {
 namespace {
 
+struct Scenario {
+  bool switchless;
+  bool primitive;
+  // Pinned simulated cycles over all passes, at --smoke and at full size.
+  // The full-size values are BENCH_rmi.json's sim_cycles_* metrics.
+  Cycles smoke_cycles;
+  Cycles full_cycles;
+};
+
+constexpr Scenario kScenarios[] = {
+    {false, true, 2'074'920'000, 181'555'500'423},
+    {false, false, 2'201'328'000, 192'616'630'450},
+    {true, true, 107'720'000, 9'425'500'018},
+    {true, false, 234'128'000, 20'486'630'045},
+};
+
 struct RunResult {
   double wall_sec = 0;
   std::uint64_t sim_cycles = 0;
   std::uint64_t fast_path_calls = 0;
 };
 
-RunResult run(bool fast, bool switchless, bool primitive, std::int64_t n,
-              int reps) {
+RunResult run(bool switchless, bool primitive, std::int64_t n, int reps) {
   core::AppConfig config;
-  config.fast_rmi = fast;
   config.switchless_relays = switchless;
   core::PartitionedApp app(apps::synthetic::build_micro_app(), config);
   auto& u = app.untrusted_context();
@@ -56,9 +70,8 @@ RunResult run(bool fast, bool switchless, bool primitive, std::int64_t n,
 
   // Best-of-`reps` wall clock: the host is a shared machine and the
   // minimum over several identical passes is the standard estimator for a
-  // CPU-bound loop. Simulated cycles accumulate over ALL passes — legacy
-  // and fast replay the same simulated timeline, so the totals must agree
-  // to the cycle (checked by the caller).
+  // CPU-bound loop. Simulated cycles accumulate over ALL passes (the
+  // pinned totals).
   RunResult r;
   const Cycles sim0 = app.env().clock.now();
   const std::uint64_t fp0 = app.rmi().stats().fast_path_calls;
@@ -90,56 +103,48 @@ int main(int argc, char** argv) {
                       "RMI hot path: interned IDs + buffer arena + "
                       "primitive encoder (host wall-clock)");
 
-  Table table({"mode", "signature", "legacy calls/s", "fast calls/s",
-               "speedup", "sim cycles"});
+  Table table({"mode", "signature", "calls/s", "sim cycles", "pin"});
   bench::JsonReport report("abl_rmi_fastpath");
   report.add_metric("invocations", static_cast<std::uint64_t>(n));
 
-  bool cycles_identical = true;
-  for (const bool switchless : {false, true}) {
-    for (const bool primitive : {true, false}) {
-      const RunResult legacy = run(false, switchless, primitive, n, reps);
-      const RunResult fast = run(true, switchless, primitive, n, reps);
-      if (legacy.sim_cycles != fast.sim_cycles) {
-        std::fprintf(stderr,
-                     "FATAL: simulated cycles diverge (legacy %" PRIu64
-                     ", fast %" PRIu64 ") — the fast path changed results\n",
-                     legacy.sim_cycles, fast.sim_cycles);
-        cycles_identical = false;
-      }
-      if (primitive && fast.fast_path_calls != static_cast<std::uint64_t>(n)) {
-        std::fprintf(stderr,
-                     "FATAL: primitive fast path engaged on %" PRIu64
-                     " of %" PRId64 " calls\n",
-                     fast.fast_path_calls, n);
-        cycles_identical = false;
-      }
-
-      const double legacy_cps = static_cast<double>(n) / legacy.wall_sec;
-      const double fast_cps = static_cast<double>(n) / fast.wall_sec;
-      const double speedup = fast_cps / legacy_cps;
-      const std::string mode = switchless ? "switchless" : "transition";
-      const std::string sig = primitive ? "primitive" : "generic";
-      table.add_row({mode, sig, format_fixed(legacy_cps / 1e6, 2) + "M",
-                     format_fixed(fast_cps / 1e6, 2) + "M",
-                     bench::fmt_x(speedup),
-                     legacy.sim_cycles == fast.sim_cycles ? "identical"
-                                                          : "DIVERGED"});
-      const std::string key = mode + "_" + sig;
-      report.add_metric("legacy_calls_per_sec_" + key, legacy_cps);
-      report.add_metric("fast_calls_per_sec_" + key, fast_cps);
-      report.add_metric("speedup_" + key, speedup);
-      report.add_metric("sim_cycles_" + key, fast.sim_cycles);
+  bool ok = true;
+  for (const Scenario& s : kScenarios) {
+    const RunResult r = run(s.switchless, s.primitive, n, reps);
+    const Cycles pinned = opt.smoke ? s.smoke_cycles : s.full_cycles;
+    const bool pin_ok = r.sim_cycles == pinned;
+    if (!pin_ok) {
+      std::fprintf(stderr,
+                   "FATAL: simulated cycles %" PRIu64 " differ from the pinned "
+                   "%" PRIu64 " — the hot path changed results\n",
+                   r.sim_cycles, pinned);
+      ok = false;
     }
+    if (s.primitive && r.fast_path_calls != static_cast<std::uint64_t>(n)) {
+      std::fprintf(stderr,
+                   "FATAL: primitive fast path engaged on %" PRIu64
+                   " of %" PRId64 " calls\n",
+                   r.fast_path_calls, n);
+      ok = false;
+    }
+
+    const double cps = static_cast<double>(n) / r.wall_sec;
+    const std::string mode = s.switchless ? "switchless" : "transition";
+    const std::string sig = s.primitive ? "primitive" : "generic";
+    table.add_row({mode, sig, format_fixed(cps / 1e6, 2) + "M",
+                   std::to_string(r.sim_cycles),
+                   pin_ok ? "match" : "MISMATCH"});
+    const std::string key = mode + "_" + sig;
+    report.add_metric("calls_per_sec_" + key, cps);
+    report.add_metric("sim_cycles_" + key, r.sim_cycles);
   }
   table.print();
   std::printf(
-      "\nLegacy = pre-overhaul string dispatch (per-call name hashing, "
-      "fresh buffers, eager\nref-encoder closures). Simulated cycles are "
-      "asserted identical: only host time changes.\n");
+      "\nSimulated cycles are pinned to the values the pre-overhaul path "
+      "also produced\n(BENCH_rmi.json records its speedup): only host time "
+      "may change.\n");
   if (!opt.json_path.empty()) {
     report.add_table("rmi_fastpath", table);
     if (!report.write(opt.json_path)) return 1;
   }
-  return cycles_identical ? 0 : 1;
+  return ok ? 0 : 1;
 }

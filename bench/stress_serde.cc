@@ -18,9 +18,9 @@
 // serialization charges of an enclave domain (armed — pays the MEE
 // factor) and of the untrusted domain (disarmed baseline), then through
 // the sealed-checkpoint path (encode -> seal -> wire blob -> deserialize
-// -> unseal -> decode). Gates: byte-identical re-encode for every shape
-// on both codecs, charge asymmetry in the enclave, and typed rejection of
-// a truncated sealed checkpoint.
+// -> unseal -> decode). Gates: byte-identical re-encode for every shape,
+// charge asymmetry in the enclave, and typed rejection of a truncated
+// sealed checkpoint.
 #include <cinttypes>
 #include <string>
 
@@ -105,13 +105,6 @@ ShapeResult push_through(const Value& v) {
   rmi::encode_value(wire, v, no_refs);
   r.elements = rmi::element_count(v);
   r.bytes = wire.size();
-
-  // The compat codec must agree byte-for-byte on every pathological
-  // shape, or the legacy benchmark baseline silently forks.
-  ByteBuffer compat_wire;
-  rmi::encode_value_compat(compat_wire, v, no_refs);
-  bench::stress::gate(wire.bytes() == compat_wire.bytes(),
-                      "generic and compat codecs must stay byte-equal");
 
   ByteReader reader(wire);
   const Value back = rmi::decode_value(reader, no_ref_decode);

@@ -165,8 +165,6 @@ PartitionedApp::PartitionedApp(const model::AppModel& app, AppConfig config,
   untrusted_ctx_ = std::make_unique<interp::ExecContext>(
       *env_, *untrusted_iso_, untrusted_image_.classes, *host_io_,
       std::move(intrinsics));
-  trusted_ctx_->set_fast_paths(config_.fast_rmi);
-  untrusted_ctx_->set_fast_paths(config_.fast_rmi);
   trusted_ctx_->set_verify_bytecode(config_.verify_bytecode);
   untrusted_ctx_->set_verify_bytecode(config_.verify_bytecode);
 
@@ -174,10 +172,7 @@ PartitionedApp::PartitionedApp(const model::AppModel& app, AppConfig config,
   rmi_ = std::make_unique<rmi::ProxyRuntime>(
       *env_, *bridge_, *trusted_ctx_, *untrusted_ctx_,
       rmi::ProxyRuntime::Config{config_.hash_scheme,
-                                config_.gc_scan_period_seconds,
-                                /*gc_auto_pump=*/true,
-                                /*max_serialization_depth=*/64,
-                                config_.fast_rmi});
+                                config_.gc_scan_period_seconds});
   rmi_->register_handlers();
   trusted_ctx_->set_remote(rmi_.get());
   untrusted_ctx_->set_remote(rmi_.get());

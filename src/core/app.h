@@ -46,10 +46,6 @@ struct AppConfig {
   sgx::TcsConfig tcs;
   // Future work (§7): serve relay transitions switchlessly.
   bool switchless_relays = false;
-  // RMI hot path (interned-ID dispatch, buffer arena, primitive encoder).
-  // Simulated results are identical either way; false selects the legacy
-  // string-dispatch path for before/after benchmarking.
-  bool fast_rmi = true;
   xform::ImageBuildConfig image;
   // Additional reachability roots, the analog of GraalVM's reflection
   // configuration (§2.2): methods the host process may invoke directly

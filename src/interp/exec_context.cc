@@ -54,8 +54,6 @@ const ClassDecl& ExecContext::class_of(const GcRef& obj) const {
 
 const MethodDecl* ExecContext::resolve_method(const ClassDecl& cls,
                                               const std::string& method) const {
-  // Legacy mode reproduces the pre-overhaul linear name scan.
-  if (!fast_paths_) return cls.find_method(method);
   auto it = method_index_.find(&cls);
   if (it == method_index_.end()) {
     MethodIndex index;
@@ -156,39 +154,30 @@ rt::Value ExecContext::invoke_method(const ClassDecl& cls,
   ++stats_.method_calls;
   env_.clock.advance(env_.cost.method_call_cycles);
   if (tracing_) traced_.emplace(cls.name(), method.name());
-  if (edge_tracing_) {
-    if (!edge_stack_.empty() && edge_stack_.back().second != nullptr) {
-      native_edges_.insert({{edge_stack_.back().first->name(),
-                             edge_stack_.back().second->name()},
+  const bool observed = edge_tracing_ || call_profiling_;
+  if (observed) {
+    // Only the immediate native caller records an edge (see
+    // enable_native_edge_tracing).
+    if (edge_tracing_ && !call_stack_.empty() &&
+        call_stack_.back().method->kind() == MethodKind::kNative) {
+      const CallFrame& caller = call_stack_.back();
+      native_edges_.insert({{caller.cls->name(), caller.method->name()},
                             {cls.name(), method.name()}});
     }
-    edge_stack_.push_back(
-        {&cls, method.kind() == MethodKind::kNative ? &method : nullptr});
+    if (call_profiling_) count_call(cls, method);
+    call_stack_.push_back({&cls, &method});
   }
-  struct EdgeGuard {
-    ExecContext* ctx;  // null: tracing disabled
-    ~EdgeGuard() {
-      if (ctx != nullptr) ctx->edge_stack_.pop_back();
+  struct CallGuard {
+    ExecContext* ctx;  // null: no observer pushed a frame
+    ~CallGuard() {
+      if (ctx != nullptr) ctx->call_stack_.pop_back();
     }
-  } edge_guard{edge_tracing_ ? this : nullptr};
-  if (call_profiling_) {
-    const MethodRef callee{cls.name(), method.name()};
-    ++call_counts_[{profile_stack_.empty() ? MethodRef{"<entry>", ""}
-                                           : profile_stack_.back(),
-                    callee}];
-    profile_stack_.push_back(callee);
-  }
-  struct ProfileGuard {
-    ExecContext* ctx;  // null: profiling disabled
-    ~ProfileGuard() {
-      if (ctx != nullptr) ctx->profile_stack_.pop_back();
-    }
-  } profile_guard{call_profiling_ ? this : nullptr};
+  } call_guard{observed ? this : nullptr};
 
   switch (method.kind()) {
     case MethodKind::kIr: {
       if (verify_bytecode_) ensure_verified(cls, method);
-      if (fast_paths_ && !self.is_null()) {
+      if (!self.is_null()) {
         // Quickened bodies replicate exec_ir's op count and charges; null
         // receivers fall through so the generic loop raises its errors.
         const QuickInfo q = quick_info(method);
@@ -227,6 +216,15 @@ rt::Value ExecContext::invoke_method(const ClassDecl& cls,
   return Value();
 }
 
+void ExecContext::count_call(const ClassDecl& cls, const MethodDecl& method) {
+  MethodRef caller{"<entry>", ""};
+  if (!call_stack_.empty()) {
+    const CallFrame& top = call_stack_.back();
+    caller = {top.cls->name(), top.method->name()};
+  }
+  ++call_counts_[{std::move(caller), {cls.name(), method.name()}}];
+}
+
 void ExecContext::ensure_verified(const ClassDecl& cls,
                                   const MethodDecl& method) {
   auto it = verified_.find(&method);
@@ -261,12 +259,8 @@ rt::Value ExecContext::invoke_quick(const ClassDecl& cls,
   }
   ++stats_.method_calls;
   if (tracing_) traced_.emplace(cls.name(), method.name());
-  if (call_profiling_) {
-    // Quickened bodies are leaves; count the edge without a stack frame.
-    ++call_counts_[{profile_stack_.empty() ? MethodRef{"<entry>", ""}
-                                           : profile_stack_.back(),
-                    {cls.name(), method.name()}}];
-  }
+  // Quickened bodies are leaves; count the edge without a frame.
+  if (call_profiling_) count_call(cls, method);
   if (verify_bytecode_) ensure_verified(cls, method);
   if (q.kind == QuickKind::kSetter) {
     stats_.ir_ops += 4;
@@ -381,20 +375,18 @@ rt::Value ExecContext::exec_ir(const ClassDecl& cls, const MethodDecl& method,
   const model::IrBody& ir = method.ir();
 
   // Locals: `this` at 0 for instance methods, then parameters. Both frame
-  // vectors come from the pool and go back on every exit path (legacy mode
-  // allocates fresh ones, like the pre-overhaul interpreter).
-  std::vector<Value> locals = fast_paths_ ? frame_take() : std::vector<Value>();
-  std::vector<Value> stack = fast_paths_ ? frame_take() : std::vector<Value>();
+  // vectors come from the pool and go back on every exit path.
+  std::vector<Value> locals = frame_take();
+  std::vector<Value> stack = frame_take();
   struct FrameGuard {
-    ExecContext* ctx;  // null: pooling disabled
+    ExecContext* ctx;
     std::vector<Value>* locals;
     std::vector<Value>* stack;
     ~FrameGuard() {
-      if (ctx == nullptr) return;
       ctx->frame_put(std::move(*locals));
       ctx->frame_put(std::move(*stack));
     }
-  } frame_guard{fast_paths_ ? this : nullptr, &locals, &stack};
+  } frame_guard{this, &locals, &stack};
   locals.resize(
       std::max<std::size_t>(ir.local_count,
                             args.size() + (method.is_static() ? 0 : 1)));

@@ -45,12 +45,6 @@ class ExecContext {
   // Wires the RMI layer in; may stay null for unpartitioned images.
   void set_remote(RemoteInvoker* remote) { remote_ = remote; }
 
-  // Hot-path machinery (cached method resolution, pooled frame vectors).
-  // On by default; disabled by AppConfig::fast_rmi = false so the RMI
-  // benchmark can compare against the legacy allocate-and-scan shape.
-  // Simulated cycle charges are identical either way.
-  void set_fast_paths(bool v) { fast_paths_ = v; }
-
   // Verify gate (AppConfig::verify_bytecode): refuse to execute any kIr
   // body that fails analysis::verify, raising TrapError at first dispatch
   // instead of trapping mid-method. Verdicts are cached per MethodDecl
@@ -86,9 +80,9 @@ class ExecContext {
                           const model::MethodDecl& method,
                           const rt::GcRef& self, std::vector<rt::Value>& args);
 
-  // Quickening (fast mode): trivial setter/getter bodies — the dominant
-  // RMI relay targets (§6.3 measures "setter methods updating an object
-  // field") — execute directly instead of through the generic IR loop.
+  // Quickening: trivial setter/getter bodies — the dominant RMI relay
+  // targets (§6.3 measures "setter methods updating an object field") —
+  // execute directly instead of through the generic IR loop.
   // Op counts and cycle charges replicate exec_ir exactly.
   enum class QuickKind : std::uint8_t { kNone, kSetter, kGetter };
   struct QuickInfo {
@@ -168,6 +162,9 @@ class ExecContext {
   void ensure_verified(const model::ClassDecl& cls,
                        const model::MethodDecl& method);
 
+  // Call profiling: counts one (innermost frame -> cls.method) call.
+  void count_call(const model::ClassDecl& cls, const model::MethodDecl& method);
+
   // Frame-vector pool: locals and operand stacks are acquired here instead
   // of freshly allocated, so steady-state interpretation performs no heap
   // allocation per call (nested calls pull additional vectors).
@@ -203,7 +200,6 @@ class ExecContext {
       method_index_;
   std::vector<std::vector<rt::Value>> frame_pool_;
   mutable std::unordered_map<const model::MethodDecl*, QuickInfo> quick_;
-  bool fast_paths_ = true;
   ExecStats stats_;
   bool tracing_ = false;
   std::set<std::pair<std::string, std::string>> traced_;
@@ -211,14 +207,16 @@ class ExecContext {
   // Verify-gate verdicts; value = first verification error ("" = clean).
   std::unordered_map<const model::MethodDecl*, std::string> verified_;
   bool edge_tracing_ = false;
-  // Call stack for edge tracing: the declaring class plus the method when
-  // it is native, nullptr sentinel otherwise (see enable_native_edge_tracing).
-  std::vector<std::pair<const model::ClassDecl*, const model::MethodDecl*>>
-      edge_stack_;
   std::set<std::pair<MethodRef, MethodRef>> native_edges_;
   bool call_profiling_ = false;
-  std::vector<MethodRef> profile_stack_;
   std::map<std::pair<MethodRef, MethodRef>, std::uint64_t> call_counts_;
+  // One frame per invoke_method activation while edge tracing or call
+  // profiling is on: the observers' shared view of the calling method.
+  struct CallFrame {
+    const model::ClassDecl* cls;
+    const model::MethodDecl* method;
+  };
+  std::vector<CallFrame> call_stack_;
 };
 
 }  // namespace msv::interp

@@ -57,8 +57,9 @@ std::uint32_t MultiIsolateRuntime::id_of(const SideState& s) const {
 }
 
 RefEncoder MultiIsolateRuntime::make_ref_encoder(SideState& s,
-                                                 std::uint32_t peer_id) {
-  return [this, &s, peer_id](ByteBuffer& out, const GcRef& ref) {
+                                                 std::uint32_t peer_id,
+                                                 std::uint32_t depth) {
+  return [this, &s, peer_id, depth](ByteBuffer& out, const GcRef& ref) {
     const ClassDecl& cls = s.ctx.class_of(ref);
     if (cls.is_proxy()) {
       const std::int64_t hash = s.ctx.isolate().get_field(ref, 0).as_i64();
@@ -89,22 +90,25 @@ RefEncoder MultiIsolateRuntime::make_ref_encoder(SideState& s,
       out.put_string(cls.name());
       return;
     }
-    // Neutral instance: copy the fields (the multi-isolate runtime keeps
-    // the single-level form; nested neutral graphs go through lists).
+    // Neutral instance: copy the fields.
+    if (depth >= kMaxSerializationDepth) {
+      throw RuntimeFault("neutral object graph too deep to serialize (cycle?)");
+    }
     out.put_u8(static_cast<std::uint8_t>(WireTag::kNeutralObject));
     out.put_string(cls.name());
     const auto nfields = static_cast<std::uint32_t>(cls.fields().size());
     out.put_varint(nfields);
-    const RefEncoder self = make_ref_encoder(s, peer_id);
+    const RefEncoder fields = make_ref_encoder(s, peer_id, depth + 1);
     for (std::uint32_t i = 0; i < nfields; ++i) {
-      encode_value(out, s.ctx.isolate().get_field(ref, i), self);
+      encode_value(out, s.ctx.isolate().get_field(ref, i), fields);
     }
   };
 }
 
 RefDecoder MultiIsolateRuntime::make_ref_decoder(SideState& s,
-                                                 std::uint32_t peer_id) {
-  return [this, &s, peer_id](ByteReader& in, WireTag tag) -> Value {
+                                                 std::uint32_t peer_id,
+                                                 std::uint32_t depth) {
+  return [this, &s, peer_id, depth](ByteReader& in, WireTag tag) -> Value {
     switch (tag) {
       case WireTag::kRefOwnedByDecoder:
         return Value(s.registry.get(in.get_i64()));
@@ -114,16 +118,25 @@ RefDecoder MultiIsolateRuntime::make_ref_decoder(SideState& s,
         return Value(materialize_proxy(s, hash, cls, peer_id));
       }
       case WireTag::kNeutralObject: {
+        if (depth >= kMaxSerializationDepth) {
+          throw RuntimeFault("neutral object graph too deep to deserialize");
+        }
         const std::string name = in.get_string();
         const ClassDecl& cls = s.ctx.classes().cls(name);
+        // The class name comes off the wire: only a neutral class may be
+        // instantiated field by field, or a forged frame could hand the
+        // callee an annotated object whose constructor never ran.
+        MSV_CHECK_MSG(!cls.is_proxy() &&
+                          cls.annotation() == model::Annotation::kNeutral,
+                      "wire neutral object of non-neutral class " + name);
         const auto nfields = static_cast<std::uint32_t>(in.get_varint());
         MSV_CHECK_MSG(nfields == cls.fields().size(),
                       "field count mismatch deserializing " + name);
         const GcRef obj =
             s.ctx.isolate().new_instance(s.ctx.class_id(name), nfields);
-        const RefDecoder self = make_ref_decoder(s, peer_id);
+        const RefDecoder fields = make_ref_decoder(s, peer_id, depth + 1);
         for (std::uint32_t i = 0; i < nfields; ++i) {
-          s.ctx.isolate().set_field(obj, i, decode_value(in, self));
+          s.ctx.isolate().set_field(obj, i, decode_value(in, fields));
         }
         return Value(obj);
       }

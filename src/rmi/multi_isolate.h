@@ -148,8 +148,12 @@ class MultiIsolateRuntime final : public interp::RemoteInvoker {
   SideState& state_by_id(std::uint32_t id);
   std::uint32_t id_of(const SideState& s) const;
 
-  RefEncoder make_ref_encoder(SideState& from, std::uint32_t callee_id);
-  RefDecoder make_ref_decoder(SideState& to, std::uint32_t peer_id);
+  // `depth` counts the enclosing neutral objects; both directions stop at
+  // kMaxSerializationDepth.
+  RefEncoder make_ref_encoder(SideState& from, std::uint32_t callee_id,
+                              std::uint32_t depth = 0);
+  RefDecoder make_ref_decoder(SideState& to, std::uint32_t peer_id,
+                              std::uint32_t depth = 0);
 
   rt::GcRef materialize_proxy(SideState& s, std::int64_t hash,
                               const std::string& class_name,

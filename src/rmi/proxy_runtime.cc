@@ -30,11 +30,6 @@ ProxyRuntime::ProxyRuntime(Env& env, sgx::TransitionBridge& bridge,
   untrusted_.next_scan = scan_period_;
 }
 
-ProxyRuntime::ProxyRuntime(Env& env, sgx::TransitionBridge& bridge,
-                           ExecContext& trusted_ctx,
-                           ExecContext& untrusted_ctx)
-    : ProxyRuntime(env, bridge, trusted_ctx, untrusted_ctx, Config()) {}
-
 ProxyRuntime::~ProxyRuntime() {
   // The suspend hook captures `this`; unhook before the runtime dies (the
   // scheduler outlives the RMI layer by the documented destruction order).
@@ -92,7 +87,7 @@ RefEncoder ProxyRuntime::make_ref_encoder(SideState& s, std::uint32_t depth) {
     }
     // Instance of a neutral class: serialized field by field — a copy
     // "which may evolve independently" (§5.1).
-    if (depth >= config_.max_serialization_depth) {
+    if (depth >= kMaxSerializationDepth) {
       throw RuntimeFault("neutral object graph too deep to serialize (cycle?)");
     }
     out.put_u8(static_cast<std::uint8_t>(WireTag::kNeutralObject));
@@ -118,7 +113,7 @@ RefDecoder ProxyRuntime::make_ref_decoder(SideState& s, std::uint32_t depth) {
         return Value(materialize_proxy(s, hash, cls));
       }
       case WireTag::kNeutralObject: {
-        if (depth >= config_.max_serialization_depth) {
+        if (depth >= kMaxSerializationDepth) {
           throw RuntimeFault("neutral object graph too deep to deserialize");
         }
         const std::string name = in.get_string();
@@ -193,9 +188,9 @@ const ProxyRuntime::RelayPlan& ProxyRuntime::plan_for(const MethodDecl& stub) {
   return *plan;
 }
 
-void ProxyRuntime::encode_call_into(ByteBuffer& buf, SideState& caller,
-                                    std::int64_t self_hash,
-                                    std::vector<Value>& args) {
+void ProxyRuntime::encode_call(ByteBuffer& buf, SideState& caller,
+                               std::int64_t self_hash,
+                               std::vector<Value>& args) {
   buf.put_i64(self_hash);
   buf.put_varint(args.size());
   std::uint64_t elements = 0;
@@ -215,40 +210,9 @@ void ProxyRuntime::encode_call_into(ByteBuffer& buf, SideState& caller,
   charge_serialize(env_, caller.ctx.isolate().domain(), elements, buf.size());
 }
 
-// Legacy (pre-fast-path) encoder: fresh buffer, seed-shape byte ops,
-// ref-encoder closure built up front whether or not any argument needs it.
-ByteBuffer ProxyRuntime::encode_call(SideState& caller, std::int64_t self_hash,
-                                     std::vector<Value>& args) {
-  ByteBuffer buf;
-  compat::put_i64(buf, self_hash);
-  compat::put_varint(buf, args.size());
-  std::uint64_t elements = 0;
-  for (auto& a : args) {
-    elements += element_count(a);
-    encode_value_compat(buf, a, make_ref_encoder(caller));
-  }
-  charge_serialize(env_, caller.ctx.isolate().domain(), elements, buf.size());
-  return buf;
-}
-
-ByteBuffer ProxyRuntime::transition(SideState& /*caller*/,
-                                    const std::string& name,
-                                    const ByteBuffer& payload, bool via_ecall) {
-  if (config_.gc_auto_pump) pump_gc();
-  // Legacy shape: the name is resolved to its ID on every call.
-  ByteBuffer response;
-  if (via_ecall) {
-    bridge_.ecall(bridge_.ecall_id(name), payload, response);
-  } else {
-    bridge_.ocall(bridge_.ocall_id(name), payload, response);
-  }
-  return response;
-}
-
-void ProxyRuntime::transition_fast(const RelayPlan& plan,
-                                   const ByteBuffer& payload,
-                                   ByteBuffer& response) {
-  if (config_.gc_auto_pump) pump_gc();
+void ProxyRuntime::transition(const RelayPlan& plan, const ByteBuffer& payload,
+                              ByteBuffer& response) {
+  pump_gc();
   if (plan.via_ecall) {
     bridge_.ecall(plan.id, payload, response);
   } else {
@@ -287,23 +251,14 @@ Value ProxyRuntime::construct_proxy(ExecContext& caller,
   ++stats_.proxies_created;
 
   // Create the mirror in the opposite runtime.
-  if (config_.fast_paths) {
-    const RelayPlan& plan = plan_for(*ctor_stub);
-    // Caller-side RMI span: encode -> transition -> (mirror registered).
-    telemetry::SpanScope span(env_.telemetry.tracer(),
-                              telemetry::Category::kRmi, plan.span_name);
-    ArenaLease payload(arena_);
-    encode_call_into(*payload, from, hash, args);
-    ArenaLease response(arena_);
-    transition_fast(plan, *payload, *response);
-  } else {
-    telemetry::SpanScope span(env_.telemetry.tracer(),
-                              telemetry::Category::kRmi,
-                              env_.telemetry.names().rmi_construct);
-    ByteBuffer payload = encode_call(from, hash, args);
-    transition(from, ctor_stub->proxy().relay_name, payload,
-               ctor_stub->proxy().via_ecall);
-  }
+  const RelayPlan& plan = plan_for(*ctor_stub);
+  // Caller-side RMI span: encode -> transition -> (mirror registered).
+  telemetry::SpanScope span(env_.telemetry.tracer(), telemetry::Category::kRmi,
+                            plan.span_name);
+  ArenaLease payload(arena_);
+  encode_call(*payload, from, hash, args);
+  ArenaLease response(arena_);
+  transition(plan, *payload, *response);
   return Value(proxy);
 }
 
@@ -326,35 +281,22 @@ Value ProxyRuntime::invoke_proxy(ExecContext& caller, const GcRef& proxy,
   }
   ++stats_.remote_invocations;
 
-  if (config_.fast_paths) {
-    const RelayPlan& plan = plan_for(stub);
-    // Caller-side RMI span: covers marshalling, the bridge transition
-    // (whose span nests under this one) and result decoding.
-    telemetry::SpanScope span(env_.telemetry.tracer(),
-                              telemetry::Category::kRmi, plan.span_name);
-    ArenaLease payload(arena_);
-    encode_call_into(*payload, from, self_hash, args);
-    ArenaLease response(arena_);
-    transition_fast(plan, *payload, *response);
-    ByteReader r(*response);
-    Value result;
-    if (!decode_primitive(r, result)) {
-      result = decode_value(r, make_ref_decoder(from));
-    }
-    charge_deserialize(env_, caller.isolate().domain(), element_count(result),
-                       response->size());
-    return result;
-  }
-
+  const RelayPlan& plan = plan_for(stub);
+  // Caller-side RMI span: covers marshalling, the bridge transition (whose
+  // span nests under this one) and result decoding.
   telemetry::SpanScope span(env_.telemetry.tracer(), telemetry::Category::kRmi,
-                            env_.telemetry.names().rmi_invoke);
-  ByteBuffer payload = encode_call(from, self_hash, args);
-  ByteBuffer response = transition(from, stub.proxy().relay_name, payload,
-                                   stub.proxy().via_ecall);
-  ByteReader r(response);
-  Value result = decode_value_compat(r, make_ref_decoder(from));
+                            plan.span_name);
+  ArenaLease payload(arena_);
+  encode_call(*payload, from, self_hash, args);
+  ArenaLease response(arena_);
+  transition(plan, *payload, *response);
+  ByteReader r(*response);
+  Value result;
+  if (!decode_primitive(r, result)) {
+    result = decode_value(r, make_ref_decoder(from));
+  }
   charge_deserialize(env_, caller.isolate().domain(), element_count(result),
-                     response.size());
+                     response->size());
   return result;
 }
 
@@ -363,8 +305,6 @@ Value ProxyRuntime::invoke_proxy(ExecContext& caller, const GcRef& proxy,
 
 void ProxyRuntime::set_batching(bool enabled) {
   if (!enabled) flush_batches();
-  MSV_CHECK_MSG(!enabled || config_.fast_paths,
-                "batching requires the fast-path machinery");
   config_.batching = enabled;
 }
 
@@ -429,7 +369,7 @@ RmiFuture ProxyRuntime::invoke_proxy_async(ExecContext& caller,
   // call's bytes exactly as the unbatched encoder would; the bare payload
   // is then appended to the pending frame body.
   ArenaLease scratch(arena_);
-  encode_call_into(*scratch, from, self_hash, args);
+  encode_call(*scratch, from, self_hash, args);
   const std::size_t offset = batch_buf_.size();
   batch_buf_.put_bytes(scratch->data(), scratch->size());
 
@@ -440,8 +380,8 @@ RmiFuture ProxyRuntime::invoke_proxy_async(ExecContext& caller,
   pending_calls_.push_back(
       PendingCall{&plan, state, offset, scratch->size()});
 
-  if (pending_calls_.size() >= config_.max_batch_calls ||
-      batch_buf_.size() >= config_.max_batch_bytes) {
+  if (pending_calls_.size() >= kFlushCalls ||
+      batch_buf_.size() >= kFlushBytes) {
     flush_batches();
   }
   return RmiFuture(std::move(state));
@@ -485,7 +425,7 @@ void ProxyRuntime::do_flush() {
                               telemetry::Category::kRmi, c.plan->span_name);
     ArenaLease response(arena_);
     try {
-      transition_fast(*c.plan, batch_buf_, *response);
+      transition(*c.plan, batch_buf_, *response);
     } catch (const sched::TaskCancelled&) {
       throw;
     } catch (...) {
@@ -519,7 +459,7 @@ void ProxyRuntime::do_flush() {
     encode_batch_entry(*frame, c.plan->id, batch_buf_.data() + c.offset,
                        c.size);
   }
-  if (config_.gc_auto_pump) pump_gc();
+  pump_gc();
   ArenaLease response(arena_);
   try {
     if (pending_via_ecall_) {
@@ -568,12 +508,9 @@ void ProxyRuntime::do_flush() {
 // ---------------------------------------------------------------------------
 // Relay dispatch (callee side)
 
-void ProxyRuntime::dispatch_relay(SideState& callee, const ClassDecl& cls,
-                                  const MethodDecl& relay,
-                                  const MethodDecl* target,
-                                  const interp::ExecContext::QuickInfo* quick,
-                                  ByteReader& in, ByteBuffer& out,
-                                  bool charge_attach) {
+void ProxyRuntime::dispatch_relay(const RelaySite& site, ByteReader& in,
+                                  ByteBuffer& out, bool charge_attach) {
+  SideState& callee = *site.callee;
   // Callee-side span, nested under the bridge transition span: isolate
   // attach, argument decoding, the mirrored invocation, result encoding.
   telemetry::SpanScope span(env_.telemetry.tracer(), telemetry::Category::kRmi,
@@ -589,27 +526,21 @@ void ProxyRuntime::dispatch_relay(SideState& callee, const ClassDecl& cls,
                            ? env_.cost.isolate_attach_trusted_cycles
                            : env_.cost.isolate_attach_untrusted_cycles);
   }
-  const model::RelayInfo& info = relay.relay();
+  const model::RelayInfo& info = site.relay->relay();
 
   const std::size_t payload_bytes = in.remaining();
-  const std::int64_t self_hash =
-      config_.fast_paths ? in.get_i64() : compat::get_i64(in);
-  std::vector<Value> args =
-      config_.fast_paths ? args_take() : std::vector<Value>();
-  args.resize(config_.fast_paths ? in.get_varint() : compat::get_varint(in));
+  const std::int64_t self_hash = in.get_i64();
+  std::vector<Value> args = args_take();
+  args.resize(in.get_varint());
   std::uint64_t elements = 0;
   RefDecoder dec;
   for (auto& a : args) {
-    if (config_.fast_paths) {
-      if (decode_primitive(in, a)) {
-        ++elements;
-        continue;
-      }
-      if (!dec) dec = make_ref_decoder(callee);
-      a = decode_value(in, dec);
-    } else {
-      a = decode_value_compat(in, make_ref_decoder(callee));
+    if (decode_primitive(in, a)) {
+      ++elements;
+      continue;
     }
+    if (!dec) dec = make_ref_decoder(callee);
+    a = decode_value(in, dec);
     elements += element_count(a);
   }
   charge_deserialize(env_, callee.ctx.isolate().domain(), elements,
@@ -623,38 +554,26 @@ void ProxyRuntime::dispatch_relay(SideState& callee, const ClassDecl& cls,
     callee.registry.add(self_hash, mirror.as_ref());
     ++stats_.mirrors_registered;
   } else {
-    MSV_CHECK_MSG(target != nullptr, "relay target missing");
-    if (config_.fast_paths) {
-      // invoke/invoke_static are resolve-then-invoke_method wrappers; with
-      // the target pre-resolved the direct call charges identical cycles.
-      if (quick != nullptr &&
-          quick->kind != interp::ExecContext::QuickKind::kNone &&
-          !target->is_static()) {
-        // Quickened bodies cannot nest relays, so holding the registry
-        // reference across the invocation is safe (see get_ref).
-        result = callee.ctx.invoke_quick(
-            cls, *target, *quick, callee.registry.get_ref(self_hash), args);
-      } else {
-        const GcRef self =
-            target->is_static() ? GcRef() : callee.registry.get(self_hash);
-        result = callee.ctx.invoke_method(cls, *target, self, args);
-      }
-      args_put(std::move(args));
-    } else if (target->is_static()) {
-      result = callee.ctx.invoke_static(info.target_class, info.target_method,
-                                        std::move(args));
+    const MethodDecl& target = *site.target;
+    // invoke/invoke_static are resolve-then-invoke_method wrappers; with
+    // the target pre-resolved the direct call charges identical cycles.
+    // Only instance methods are ever quickened.
+    if (site.quick.kind != ExecContext::QuickKind::kNone) {
+      // Quickened bodies cannot nest relays, so holding the registry
+      // reference across the invocation is safe (see get_ref).
+      result = callee.ctx.invoke_quick(*site.cls, target, site.quick,
+                                       callee.registry.get_ref(self_hash),
+                                       args);
     } else {
-      const GcRef mirror = callee.registry.get(self_hash);
-      result = callee.ctx.invoke(mirror, info.target_method, std::move(args));
+      const GcRef self =
+          target.is_static() ? GcRef() : callee.registry.get(self_hash);
+      result = callee.ctx.invoke_method(*site.cls, target, self, args);
     }
+    args_put(std::move(args));
   }
 
-  if (config_.fast_paths) {
-    if (!encode_primitive(out, result)) {
-      encode_value(out, result, make_ref_encoder(callee));
-    }
-  } else {
-    encode_value_compat(out, result, make_ref_encoder(callee));
+  if (!encode_primitive(out, result)) {
+    encode_value(out, result, make_ref_encoder(callee));
   }
   charge_serialize(env_, callee.ctx.isolate().domain(), element_count(result),
                    out.size());
@@ -692,8 +611,7 @@ void ProxyRuntime::dispatch_batch(SideState& callee, ByteReader& in,
     bool ok = true;
     std::string err;
     try {
-      dispatch_relay(*site->callee, *site->cls, *site->relay, site->target,
-                     &site->quick, er, *result, /*charge_attach=*/false);
+      dispatch_relay(*site, er, *result, /*charge_attach=*/false);
     } catch (const sched::TaskCancelled&) {
       throw;
     } catch (const Error& f) {
@@ -724,61 +642,32 @@ void ProxyRuntime::register_handlers() {
         if (m.kind() != MethodKind::kRelay) continue;
         const std::string name = xform::transition_name(
             cls.name(), m.relay().target_method, callee_is_trusted);
-        if (config_.fast_paths) {
-          // Pre-resolve the relay target once; per-call work is pure
-          // dispatch.
-          const MethodDecl* target =
-              m.relay().is_constructor
-                  ? nullptr
-                  : cls.find_method(m.relay().target_method);
-          MSV_CHECK_MSG(m.relay().is_constructor || target != nullptr,
-                        "relay target " + cls.name() + "." +
-                            m.relay().target_method + " missing");
-          // Classify the target for quickening once, here; per-call
-          // dispatch then skips the classifier cache lookup entirely.
-          interp::ExecContext::QuickInfo quick{};
-          if (target != nullptr && target->kind() == MethodKind::kIr) {
-            quick = callee.ctx.quick_info(*target);
-          }
-          // One-pointer capture: see RelaySite.
-          RelaySite& site = relay_sites_.emplace_back(
-              RelaySite{this, &callee, &cls, &m, target, quick});
-          auto handler = [site = &site](ByteReader& in, ByteBuffer& out) {
-            site->rt->dispatch_relay(*site->callee, *site->cls, *site->relay,
-                                     site->target, &site->quick, in, out);
-          };
-          const sgx::CallId id =
-              callee_is_trusted
-                  ? bridge_.register_ecall_raw(name, std::move(handler))
-                  : bridge_.register_ocall_raw(name, std::move(handler));
-          // The batch dispatcher routes packed entries by interned CallId.
-          sites_by_id_[id] = &site;
-        } else {
-          // Legacy string-dispatch shape: class and methods re-resolved on
-          // every call, response in a fresh buffer.
-          auto handler = [this, &callee, cls_name = cls.name(),
-                          relay_name = m.name()](ByteReader& in) {
-            const ClassDecl& cls = callee.ctx.classes().cls(cls_name);
-            const MethodDecl* relay = cls.find_method(relay_name);
-            MSV_CHECK_MSG(relay != nullptr &&
-                              relay->kind() == MethodKind::kRelay,
-                          "relay method " + cls_name + "." + relay_name +
-                              " missing");
-            const MethodDecl* target =
-                relay->relay().is_constructor
-                    ? nullptr
-                    : cls.find_method(relay->relay().target_method);
-            ByteBuffer out;
-            dispatch_relay(callee, cls, *relay, target, /*quick=*/nullptr, in,
-                           out);
-            return out;
-          };
-          if (callee_is_trusted) {
-            bridge_.register_ecall(name, std::move(handler));
-          } else {
-            bridge_.register_ocall(name, std::move(handler));
-          }
+        // Pre-resolve the relay target once; per-call work is pure
+        // dispatch.
+        const MethodDecl* target =
+            m.relay().is_constructor ? nullptr
+                                     : cls.find_method(m.relay().target_method);
+        MSV_CHECK_MSG(m.relay().is_constructor || target != nullptr,
+                      "relay target " + cls.name() + "." +
+                          m.relay().target_method + " missing");
+        // Classify the target for quickening once, here; per-call dispatch
+        // then skips the classifier cache lookup entirely.
+        interp::ExecContext::QuickInfo quick{};
+        if (target != nullptr && target->kind() == MethodKind::kIr) {
+          quick = callee.ctx.quick_info(*target);
         }
+        // One-pointer capture: see RelaySite.
+        RelaySite& site = relay_sites_.emplace_back(
+            RelaySite{this, &callee, &cls, &m, target, quick});
+        auto handler = [site = &site](ByteReader& in, ByteBuffer& out) {
+          site->rt->dispatch_relay(*site, in, out);
+        };
+        const sgx::CallId id =
+            callee_is_trusted
+                ? bridge_.register_ecall_raw(name, std::move(handler))
+                : bridge_.register_ocall_raw(name, std::move(handler));
+        // The batch dispatcher routes packed entries by interned CallId.
+        sites_by_id_[id] = &site;
       }
     }
   };
@@ -787,16 +676,14 @@ void ProxyRuntime::register_handlers() {
 
   // Batch endpoints: one ecall/ocall carries a whole frame of packed
   // relay invocations (DESIGN.md §13).
-  if (config_.fast_paths) {
-    batch_ecall_id_ = bridge_.register_ecall_raw(
-        "ecall_rmi_batch", [this](ByteReader& in, ByteBuffer& out) {
-          dispatch_batch(trusted_, in, out);
-        });
-    batch_ocall_id_ = bridge_.register_ocall_raw(
-        "ocall_rmi_batch", [this](ByteReader& in, ByteBuffer& out) {
-          dispatch_batch(untrusted_, in, out);
-        });
-  }
+  batch_ecall_id_ = bridge_.register_ecall_raw(
+      "ecall_rmi_batch", [this](ByteReader& in, ByteBuffer& out) {
+        dispatch_batch(trusted_, in, out);
+      });
+  batch_ocall_id_ = bridge_.register_ocall_raw(
+      "ocall_rmi_batch", [this](ByteReader& in, ByteBuffer& out) {
+        dispatch_batch(untrusted_, in, out);
+      });
 
   // GC-helper transitions (§5.5); the interned IDs are kept for the
   // eviction/scan dispatch sites.

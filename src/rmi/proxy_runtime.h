@@ -74,33 +74,16 @@ class ProxyRuntime final : public interp::RemoteInvoker,
     HashScheme hash_scheme = HashScheme::kMd5;
     // §5.5: the helper threads scan "periodically (e.g., every second)".
     double gc_scan_period_seconds = 1.0;
-    // Pump the GC helpers automatically before top-level transitions.
-    bool gc_auto_pump = true;
-    // Depth limit for serialized neutral object graphs.
-    std::uint32_t max_serialization_depth = 64;
-    // Hot-path machinery: interned call-ID dispatch, arena-pooled wire
-    // buffers and the primitive fixed-layout encoder. Simulated cycle
-    // charges are identical either way (the wire bytes are the same);
-    // disabling reverts to the pre-optimisation string-dispatch path and
-    // exists for the before/after benchmark (bench/abl_rmi_fastpath).
-    bool fast_paths = true;
     // Cross-boundary call batching (DESIGN.md §13): invoke_proxy_async
     // packs calls into one wire frame dispatched by a single transition.
     // Off by default — the sync API is byte-identical either way; only
-    // the async API changes behaviour. Requires fast_paths.
+    // the async API changes behaviour.
     bool batching = false;
-    // Flush bounds of the pending batch (calls / marshalled bytes).
-    std::uint32_t max_batch_calls = 64;
-    std::size_t max_batch_bytes = 64 * 1024;
   };
 
   ProxyRuntime(Env& env, sgx::TransitionBridge& bridge,
                interp::ExecContext& trusted_ctx,
                interp::ExecContext& untrusted_ctx, Config config);
-  // Default configuration.
-  ProxyRuntime(Env& env, sgx::TransitionBridge& bridge,
-               interp::ExecContext& trusted_ctx,
-               interp::ExecContext& untrusted_ctx);
   ~ProxyRuntime() override;
 
   // Registers the relay handlers (every kRelay method of both images) and
@@ -212,33 +195,25 @@ class ProxyRuntime final : public interp::RemoteInvoker,
     const model::ClassDecl* cls;
     const model::MethodDecl* relay;
     const model::MethodDecl* target;  // null for constructor relays
+    // The target's quickening classification, made at registration.
     interp::ExecContext::QuickInfo quick;
   };
 
-  // Encodes self-hash + args into `buf` (arena-backed on the fast path),
-  // taking the fixed-layout shortcut per primitive argument. Byte-for-byte
-  // identical to the generic encoder; charges charge_serialize the same.
-  void encode_call_into(ByteBuffer& buf, SideState& caller,
-                        std::int64_t self_hash, std::vector<rt::Value>& args);
-  ByteBuffer encode_call(SideState& caller, std::int64_t self_hash,
-                         std::vector<rt::Value>& args);
-  ByteBuffer transition(SideState& caller, const std::string& name,
-                        const ByteBuffer& payload, bool via_ecall);
-  // Hot path: ID dispatch, response written into `response`.
-  void transition_fast(const RelayPlan& plan, const ByteBuffer& payload,
-                       ByteBuffer& response);
+  // Encodes self-hash + args into `buf` (an arena lease), taking the
+  // fixed-layout shortcut per primitive argument. Byte-for-byte identical
+  // to the generic encoder; charges charge_serialize the same.
+  void encode_call(ByteBuffer& buf, SideState& caller, std::int64_t self_hash,
+                   std::vector<rt::Value>& args);
+  // Pumps the GC helpers, then dispatches `payload` by the plan's interned
+  // ID; the response is written into `response`.
+  void transition(const RelayPlan& plan, const ByteBuffer& payload,
+                  ByteBuffer& response);
 
-  // Bridge handler body for one relay method (`target` pre-resolved at
-  // registration; null for constructor relays). `quick` is the target's
-  // registration-time quickening classification (null in legacy mode).
-  // Writes the marshalled result into `out`. Batched dispatch passes
-  // charge_attach=false: the batch handler charges the isolate attach
-  // once for the whole frame — the cost batching exists to amortize.
-  void dispatch_relay(SideState& callee, const model::ClassDecl& cls,
-                      const model::MethodDecl& relay,
-                      const model::MethodDecl* target,
-                      const interp::ExecContext::QuickInfo* quick,
-                      ByteReader& in, ByteBuffer& out,
+  // Bridge handler body for one relay site. Writes the marshalled result
+  // into `out`. Batched dispatch passes charge_attach=false: the batch
+  // handler charges the isolate attach once for the whole frame — the
+  // cost batching exists to amortize.
+  void dispatch_relay(const RelaySite& site, ByteReader& in, ByteBuffer& out,
                       bool charge_attach = true);
 
   // Callee-side body of the batch transition: bounded-decodes the frame,
@@ -297,11 +272,14 @@ class ProxyRuntime final : public interp::RemoteInvoker,
   bool flushing_ = false;
   bool hook_installed_ = false;
   BatchLimits batch_limits_;
+  // Flush bounds of the pending batch (calls / marshalled bytes).
+  static constexpr std::size_t kFlushCalls = 64;
+  static constexpr std::size_t kFlushBytes = 64 * 1024;
   sgx::CallId batch_ecall_id_ = sgx::kNoCallId;
   sgx::CallId batch_ocall_id_ = sgx::kNoCallId;
 
-  // Argument-vector pool for relay dispatch (fast mode only; constructor
-  // relays consume their vector and simply don't return it).
+  // Argument-vector pool for relay dispatch (constructor relays consume
+  // their vector and simply don't return it).
   std::vector<rt::Value> args_take() {
     if (args_pool_.empty()) return {};
     std::vector<rt::Value> v = std::move(args_pool_.back());

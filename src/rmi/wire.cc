@@ -1,7 +1,5 @@
 #include "rmi/wire.h"
 
-#include <cstring>
-
 #include "support/error.h"
 
 namespace msv::rmi {
@@ -150,204 +148,6 @@ rt::Value decode_value(ByteReader& in, const RefDecoder& ref_decoder) {
     const auto t = static_cast<WireTag>(in.get_u8());
     if (t == WireTag::kList) {
       stack.emplace_back(checked_list_count(in, in.get_varint()));
-    } else {
-      f.list[f.next++] = decode_scalar(t);
-    }
-  }
-}
-
-
-
-namespace compat {
-
-void put_u32(ByteBuffer& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.put_u8(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_u64(ByteBuffer& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.put_u8(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_f64(ByteBuffer& out, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
-
-void put_varint(ByteBuffer& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.put_u8(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  out.put_u8(static_cast<std::uint8_t>(v));
-}
-
-void put_string(ByteBuffer& out, std::string_view s) {
-  // The seed's put_string already used a bulk copy for the payload.
-  put_varint(out, s.size());
-  out.put_bytes(s.data(), s.size());
-}
-
-std::uint32_t get_u32(ByteReader& in) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(in.get_u8()) << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t get_u64(ByteReader& in) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(in.get_u8()) << (8 * i);
-  }
-  return v;
-}
-
-double get_f64(ByteReader& in) {
-  const std::uint64_t bits = get_u64(in);
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-std::uint64_t get_varint(ByteReader& in) {
-  std::uint64_t v = 0;
-  int shift = 0;
-  while (true) {
-    const std::uint8_t b = in.get_u8();
-    // As ByteReader::get_varint: the 10th byte holds bit 63 only.
-    if (shift == 63 && b > 1) {
-      throw RuntimeFault("ByteReader: varint too long");
-    }
-    v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-    if (!(b & 0x80)) break;
-    shift += 7;
-  }
-  return v;
-}
-
-std::string get_string(ByteReader& in) {
-  const std::uint64_t n = get_varint(in);
-  std::string s(n, '\0');
-  in.get_bytes(s.data(), n);
-  return s;
-}
-
-}  // namespace compat
-
-namespace {
-
-// Non-list cases of the seed-shape codec (byte-at-a-time ops).
-void encode_scalar_compat(ByteBuffer& out, const Value& v,
-                          const RefEncoder& ref_encoder) {
-  switch (v.type()) {
-    case ValueType::kNull:
-      out.put_u8(static_cast<std::uint8_t>(WireTag::kNull));
-      return;
-    case ValueType::kBool:
-      out.put_u8(static_cast<std::uint8_t>(WireTag::kBool));
-      out.put_u8(v.as_bool() ? 1 : 0);
-      return;
-    case ValueType::kI32:
-      out.put_u8(static_cast<std::uint8_t>(WireTag::kI32));
-      compat::put_i32(out, v.as_i32());
-      return;
-    case ValueType::kI64:
-      out.put_u8(static_cast<std::uint8_t>(WireTag::kI64));
-      compat::put_i64(out, v.as_i64());
-      return;
-    case ValueType::kF64:
-      out.put_u8(static_cast<std::uint8_t>(WireTag::kF64));
-      compat::put_f64(out, v.as_f64());
-      return;
-    case ValueType::kString:
-      out.put_u8(static_cast<std::uint8_t>(WireTag::kString));
-      compat::put_string(out, v.as_string());
-      return;
-    case ValueType::kRef:
-      if (v.as_ref().is_null()) {
-        out.put_u8(static_cast<std::uint8_t>(WireTag::kNull));
-        return;
-      }
-      ref_encoder(out, v.as_ref());
-      return;
-    case ValueType::kList:
-      break;
-  }
-  throw RuntimeFault("encode_scalar on a list");
-}
-
-}  // namespace
-
-void encode_value_compat(ByteBuffer& out, const Value& v,
-                         const RefEncoder& ref_encoder) {
-  if (v.type() != ValueType::kList) {
-    encode_scalar_compat(out, v, ref_encoder);
-    return;
-  }
-  std::vector<EncodeFrame> stack;
-  out.put_u8(static_cast<std::uint8_t>(WireTag::kList));
-  compat::put_varint(out, v.as_list().size());
-  stack.push_back({&v.as_list(), 0});
-  while (!stack.empty()) {
-    EncodeFrame& f = stack.back();
-    if (f.next == f.list->size()) {
-      stack.pop_back();
-      continue;
-    }
-    const Value& e = (*f.list)[f.next++];
-    if (e.type() == ValueType::kList) {
-      out.put_u8(static_cast<std::uint8_t>(WireTag::kList));
-      compat::put_varint(out, e.as_list().size());
-      stack.push_back({&e.as_list(), 0});
-    } else {
-      encode_scalar_compat(out, e, ref_encoder);
-    }
-  }
-}
-
-rt::Value decode_value_compat(ByteReader& in, const RefDecoder& ref_decoder) {
-  const auto decode_scalar = [&](WireTag tag) -> Value {
-    switch (tag) {
-      case WireTag::kNull:
-        return Value();
-      case WireTag::kBool:
-        return Value(in.get_u8() != 0);
-      case WireTag::kI32:
-        return Value(compat::get_i32(in));
-      case WireTag::kI64:
-        return Value(compat::get_i64(in));
-      case WireTag::kF64:
-        return Value(compat::get_f64(in));
-      case WireTag::kString:
-        return Value(compat::get_string(in));
-      case WireTag::kRefOwnedByEncoder:
-      case WireTag::kRefOwnedByDecoder:
-      case WireTag::kNeutralObject:
-        return ref_decoder(in, tag);
-      case WireTag::kList:
-        break;
-    }
-    throw RuntimeFault("corrupt wire value: unknown tag");
-  };
-  const auto tag = static_cast<WireTag>(in.get_u8());
-  if (tag != WireTag::kList) return decode_scalar(tag);
-  std::vector<DecodeFrame> stack;
-  stack.emplace_back(checked_list_count(in, compat::get_varint(in)));
-  while (true) {
-    DecodeFrame& f = stack.back();
-    if (f.next == f.list.size()) {
-      Value done(std::move(f.list));
-      stack.pop_back();
-      if (stack.empty()) return done;
-      DecodeFrame& parent = stack.back();
-      parent.list[parent.next++] = std::move(done);
-      continue;
-    }
-    const auto t = static_cast<WireTag>(in.get_u8());
-    if (t == WireTag::kList) {
-      stack.emplace_back(checked_list_count(in, compat::get_varint(in)));
     } else {
       f.list[f.next++] = decode_scalar(t);
     }

@@ -36,6 +36,13 @@ enum class WireTag : std::uint8_t {
   kNeutralObject = 9,       // payload: class name, field values
 };
 
+// Nesting bound for neutral objects serialized field by field (a
+// kNeutralObject inside a kNeutralObject ...), enforced by both RMI
+// runtimes on encode and on decode. Bounding the encoder rejects cyclic
+// graphs; bounding the decoder keeps a hostile frame from recursing the
+// callee off its native stack.
+inline constexpr std::uint32_t kMaxSerializationDepth = 64;
+
 // Writes the tag and payload for a GcRef (classification done by caller).
 using RefEncoder = std::function<void(ByteBuffer&, const rt::GcRef&)>;
 // Reads a ref-tagged payload and produces the local Value.
@@ -132,47 +139,6 @@ inline bool decode_primitive(ByteReader& in, rt::Value& out) {
       return false;
   }
 }
-
-// ---- Seed-shape (pre-overhaul) codec -------------------------------------
-//
-// The legacy benchmark baseline (ProxyRuntime::Config::fast_paths = false)
-// must reproduce the marshalling host-cost shape from before this
-// overhaul: out-of-line byte ops that assemble multi-byte values one
-// checked byte at a time, exactly as the original ByteBuffer did before
-// the fixed-width ops were bulked and inlined. The wire bytes — and
-// therefore every simulated charge — are identical to the normal codec;
-// only the host-CPU shape differs. Never use these outside the legacy
-// path.
-namespace compat {
-void put_u32(ByteBuffer& out, std::uint32_t v);
-void put_u64(ByteBuffer& out, std::uint64_t v);
-void put_f64(ByteBuffer& out, double v);
-void put_varint(ByteBuffer& out, std::uint64_t v);
-void put_string(ByteBuffer& out, std::string_view s);
-inline void put_i32(ByteBuffer& out, std::int32_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-}
-inline void put_i64(ByteBuffer& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
-}
-std::uint32_t get_u32(ByteReader& in);
-std::uint64_t get_u64(ByteReader& in);
-double get_f64(ByteReader& in);
-std::uint64_t get_varint(ByteReader& in);
-std::string get_string(ByteReader& in);
-inline std::int32_t get_i32(ByteReader& in) {
-  return static_cast<std::int32_t>(get_u32(in));
-}
-inline std::int64_t get_i64(ByteReader& in) {
-  return static_cast<std::int64_t>(get_u64(in));
-}
-}  // namespace compat
-
-// encode_value/decode_value through the seed-shape byte ops (recursively,
-// for lists). Byte-identical output; legacy-path only.
-void encode_value_compat(ByteBuffer& out, const rt::Value& v,
-                         const RefEncoder& ref_encoder);
-rt::Value decode_value_compat(ByteReader& in, const RefDecoder& ref_decoder);
 
 // Serialization cost accounting (§6.3): CPU work proportional to elements
 // and bytes, plus memory traffic through `domain` (so serializing inside

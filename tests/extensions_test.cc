@@ -7,6 +7,7 @@
 #include "apps/synthetic/generator.h"
 #include "core/montsalvat.h"
 #include "core/multi_app.h"
+#include "rmi/wire.h"
 #include "sgx/profiler.h"
 
 namespace msv {
@@ -269,6 +270,141 @@ TEST_F(MultiIsolateTest, TrustedToUntrustedDirectionWorksPerIsolate) {
   EXPECT_EQ(u.invoke(v1.as_ref(), "auditCount", {}).as_i32(), 2);
   EXPECT_EQ(app.rmi().untrusted_registry().size(), 2u)
       << "one Logger mirror per Vault";
+}
+
+// ---- Multi-isolate wire guards at the trust boundary ----------------------
+
+// A trusted Sink that keeps whatever it is handed, and a neutral Node whose
+// one field can chain to another Node.
+model::AppModel sink_app() {
+  model::AppModel app;
+  auto& node = app.add_class("Node", model::Annotation::kNeutral);
+  node.add_field("next", /*is_private=*/false);
+  node.add_constructor(0).body(model::IrBuilder().ret_void().build());
+  node.add_method("next", 0).body(
+      model::IrBuilder().locals(1).load_local(0).get_field(0).ret().build());
+
+  auto& sink = app.add_class("Sink", model::Annotation::kTrusted);
+  sink.add_field("held");
+  sink.add_constructor(0).body_native(
+      [](model::NativeCall&) { return Value(); });
+  sink.add_method("take", 1)
+      .body_native([](model::NativeCall& call) {
+        call.isolate.set_field(call.self, 0, call.args[0]);
+        return Value();
+      })
+      .calls("Node", "next");
+
+  app.add_class("Main", model::Annotation::kUntrusted)
+      .add_static_method("main", 0)
+      .body(model::IrBuilder()
+                .new_object("Sink", 0)
+                .new_object("Node", 0)
+                .call("take", 1)
+                .pop()
+                .ret_void()
+                .build());
+  app.set_main_class("Main");
+  return app;
+}
+
+class MultiIsolateWireTest : public ::testing::Test {
+ protected:
+  MultiIsolateWireTest() : app_(sink_app(), 2, config()) {
+    sink_ = app_.construct_in(0, "Sink", {});
+  }
+
+  static core::AppConfig config() {
+    core::AppConfig c;
+    c.extra_entry_points = {{"Sink", model::kConstructorName}};
+    return c;
+  }
+
+  // The relay frame an untrusted caller sends for sink_.take(arg): target
+  // isolate 0, caller the untrusted runtime, self hash, one argument.
+  ByteBuffer take_frame() {
+    ByteBuffer frame;
+    frame.put_u32(0);
+    frame.put_u32(0xffffffffu);
+    frame.put_i64(app_.untrusted_context()
+                      .isolate()
+                      .get_field(sink_.as_ref(), 0)
+                      .as_i64());
+    frame.put_varint(1);
+    return frame;
+  }
+
+  // Appends a chain of `depth` neutral Nodes ending in null.
+  static void put_node_chain(ByteBuffer& out, std::size_t depth) {
+    for (std::size_t i = 0; i < depth; ++i) {
+      out.put_u8(static_cast<std::uint8_t>(rmi::WireTag::kNeutralObject));
+      out.put_string("Node");
+      out.put_varint(1);
+    }
+    out.put_u8(static_cast<std::uint8_t>(rmi::WireTag::kNull));
+  }
+
+  // Delivers `frame` to the trusted take relay; returns the fault message
+  // ("" when the frame was accepted).
+  std::string send_take(const ByteBuffer& frame) {
+    ByteBuffer response;
+    try {
+      app_.bridge().ecall(app_.bridge().ecall_id("ecall_relay_Sink_take"),
+                          frame, response);
+    } catch (const RuntimeFault& f) {
+      return f.what();
+    }
+    return "";
+  }
+
+  core::MultiIsolateApp app_;
+  Value sink_;
+};
+
+TEST_F(MultiIsolateWireTest, ForgedNeutralObjectOfTrustedClassRejected) {
+  // A neutral-object tag naming the @Trusted Sink would instantiate a Sink
+  // whose constructor never ran and hand it to trusted code.
+  ByteBuffer frame = take_frame();
+  frame.put_u8(static_cast<std::uint8_t>(rmi::WireTag::kNeutralObject));
+  frame.put_string("Sink");
+  frame.put_varint(1);
+  frame.put_u8(static_cast<std::uint8_t>(rmi::WireTag::kNull));
+  EXPECT_NE(send_take(frame).find("wire neutral object of non-neutral class "
+                                  "Sink"),
+            std::string::npos);
+}
+
+TEST_F(MultiIsolateWireTest, DeepNeutralChainRejected) {
+  ByteBuffer frame = take_frame();
+  put_node_chain(frame, 1'000);
+  EXPECT_NE(send_take(frame).find("too deep to deserialize"),
+            std::string::npos);
+
+  // A chain within the bound still arrives.
+  ByteBuffer ok = take_frame();
+  put_node_chain(ok, rmi::kMaxSerializationDepth);
+  EXPECT_EQ(send_take(ok), "");
+}
+
+TEST_F(MultiIsolateWireTest, VeryDeepNeutralChainRejectedWithoutRecursing) {
+  // Unbounded, this frame recursed the decoder off its native stack.
+  ByteBuffer frame = take_frame();
+  put_node_chain(frame, 200'000);
+  EXPECT_NE(send_take(frame).find("too deep to deserialize"),
+            std::string::npos);
+}
+
+TEST_F(MultiIsolateWireTest, CyclicNeutralArgumentRejected) {
+  auto& u = app_.untrusted_context();
+  const Value node = u.construct("Node", {});
+  u.isolate().set_field(node.as_ref(), 0, node);
+  try {
+    u.invoke(sink_.as_ref(), "take", {node});
+    ADD_FAILURE() << "a cyclic neutral argument was serialized";
+  } catch (const RuntimeFault& f) {
+    EXPECT_NE(std::string(f.what()).find("too deep to serialize (cycle?)"),
+              std::string::npos);
+  }
 }
 
 }  // namespace

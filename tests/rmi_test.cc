@@ -155,12 +155,11 @@ TEST(Wire, SerializationChargesScaleWithSize) {
 }
 
 TEST(Wire, AllTagsByteIdenticalAcrossCodecs) {
-  // Every WireTag through all three codec paths: the generic tagged codec,
-  // the seed-shape compat codec (legacy benchmark baseline) and — where it
-  // applies — the primitive fixed-layout fast path. The buffers must be
-  // byte-identical; since every serialize charge is a function of
+  // Every WireTag through both codec paths: the generic tagged codec and —
+  // where it applies — the primitive fixed-layout fast path. The buffers
+  // must be byte-identical; since every serialize charge is a function of
   // (elements, bytes) only, byte identity is what guarantees identical
-  // simulated cycles on the fast and legacy paths.
+  // simulated cycles whichever path a value takes.
   Env env;
   UntrustedDomain domain(env);
   rt::Isolate iso(env, domain, rt::Isolate::Config{"w", 1 << 20});
@@ -181,22 +180,17 @@ TEST(Wire, AllTagsByteIdenticalAcrossCodecs) {
   };
 
   // The runtime's classifier picks the ref tag; here a counter stands in
-  // for it so all three ref forms appear. Both codecs delegate refs to
-  // this same closure shape, so their ref bytes must match too.
+  // for it so all three ref forms appear.
   const std::array<WireTag, 3> ref_tags = {WireTag::kRefOwnedByEncoder,
                                            WireTag::kRefOwnedByDecoder,
                                            WireTag::kNeutralObject};
-  auto ref_encoder_with = [&ref_tags](int* counter) {
-    return RefEncoder([&ref_tags, counter](ByteBuffer& out, const rt::GcRef&) {
-      out.put_u8(static_cast<std::uint8_t>(ref_tags[*counter % 3]));
-      out.put_i64(42);
-      ++*counter;
-    });
+  int refs = 0;
+  const RefEncoder generic_enc = [&ref_tags, &refs](ByteBuffer& out,
+                                                    const rt::GcRef&) {
+    out.put_u8(static_cast<std::uint8_t>(ref_tags[refs % 3]));
+    out.put_i64(42);
+    ++refs;
   };
-  int generic_refs = 0;
-  int compat_refs = 0;
-  const RefEncoder generic_enc = ref_encoder_with(&generic_refs);
-  const RefEncoder compat_enc = ref_encoder_with(&compat_refs);
   const RefDecoder ref_dec = [](ByteReader& in, WireTag) -> Value {
     return Value(in.get_i64());
   };
@@ -204,11 +198,7 @@ TEST(Wire, AllTagsByteIdenticalAcrossCodecs) {
   std::set<WireTag> seen;
   for (const Value& v : values) {
     ByteBuffer generic;
-    ByteBuffer compat_b;
     encode_value(generic, v, generic_enc);
-    encode_value_compat(compat_b, v, compat_enc);
-    ASSERT_EQ(generic.size(), compat_b.size());
-    EXPECT_EQ(std::memcmp(generic.data(), compat_b.data(), generic.size()), 0);
     seen.insert(static_cast<WireTag>(generic.data()[0]));
 
     const bool prim = is_primitive(v);
@@ -222,13 +212,9 @@ TEST(Wire, AllTagsByteIdenticalAcrossCodecs) {
     }
 
     ByteReader rg(generic);
-    ByteReader rc(compat_b);
     ByteReader rp(generic);
     const Value dg = decode_value(rg, ref_dec);
-    const Value dc = decode_value_compat(rc, ref_dec);
     EXPECT_TRUE(rg.done());
-    EXPECT_TRUE(rc.done());
-    EXPECT_EQ(dg.type(), dc.type());
     Value dp;
     EXPECT_EQ(decode_primitive(rp, dp), prim);
     if (prim) {
@@ -238,21 +224,23 @@ TEST(Wire, AllTagsByteIdenticalAcrossCodecs) {
     }
 
     // Identical bytes + elements => identical simulated charge.
-    const std::uint64_t elems = element_count(v);
-    const Cycles t0 = env.clock.now();
-    charge_serialize(env, domain, elems, generic.size());
-    const Cycles fast_charge = env.clock.now() - t0;
-    const Cycles t1 = env.clock.now();
-    charge_serialize(env, domain, elems, compat_b.size());
-    EXPECT_EQ(env.clock.now() - t1, fast_charge);
+    if (prim) {
+      const std::uint64_t elems = element_count(v);
+      const Cycles t0 = env.clock.now();
+      charge_serialize(env, domain, elems, generic.size());
+      const Cycles generic_charge = env.clock.now() - t0;
+      const Cycles t1 = env.clock.now();
+      charge_serialize(env, domain, elems, fixed.size());
+      EXPECT_EQ(env.clock.now() - t1, generic_charge);
+    }
   }
   EXPECT_EQ(seen.size(), 10u) << "every WireTag must lead some encoding";
 }
 
 TEST(Wire, DeepListRoundTripsWithoutNativeRecursion) {
-  // A 100k-deep nested list is a legal RMI argument: both codecs must
-  // walk it with explicit work-lists. On the old recursive codecs this
-  // test dies of native stack overflow rather than failing an assertion.
+  // A 100k-deep nested list is a legal RMI argument: the codec must walk
+  // it with explicit work-lists. On the old recursive codec this test
+  // dies of native stack overflow rather than failing an assertion.
   constexpr std::size_t kDepth = 100'000;
   Value deep(std::int32_t{9});
   for (std::size_t i = 0; i < kDepth; ++i) {
@@ -272,29 +260,22 @@ TEST(Wire, DeepListRoundTripsWithoutNativeRecursion) {
 
   ByteBuffer tagged;
   encode_value(tagged, deep, no_refs);
-  ByteBuffer legacy;
-  encode_value_compat(legacy, deep, no_refs);
-  ASSERT_EQ(tagged.bytes(), legacy.bytes()) << "codecs must stay byte-equal";
-
-  for (const bool compat : {false, true}) {
-    ByteReader r(tagged);
-    Value back = compat ? decode_value_compat(r, no_ref_decode)
-                        : decode_value(r, no_ref_decode);
-    EXPECT_TRUE(r.done());
-    std::size_t depth = 0;
-    const Value* cur = &back;
-    while (cur->type() == rt::ValueType::kList) {
-      ASSERT_EQ(cur->as_list().size(), 1u);
-      cur = &cur->as_list()[0];
-      ++depth;
-    }
-    EXPECT_EQ(depth, kDepth);
-    EXPECT_EQ(cur->as_i32(), 9);
-    ByteBuffer again;
-    encode_value(again, back, no_refs);
-    EXPECT_EQ(again.bytes(), tagged.bytes());
-  }  // `back` chains destruct iteratively here
-}
+  ByteReader r(tagged);
+  Value back = decode_value(r, no_ref_decode);
+  EXPECT_TRUE(r.done());
+  std::size_t depth = 0;
+  const Value* cur = &back;
+  while (cur->type() == rt::ValueType::kList) {
+    ASSERT_EQ(cur->as_list().size(), 1u);
+    cur = &cur->as_list()[0];
+    ++depth;
+  }
+  EXPECT_EQ(depth, kDepth);
+  EXPECT_EQ(cur->as_i32(), 9);
+  ByteBuffer again;
+  encode_value(again, back, no_refs);
+  EXPECT_EQ(again.bytes(), tagged.bytes());
+}  // `deep` and `back` chains destruct iteratively here
 
 TEST(Wire, OverlongVarintRejectedByBothCodecs) {
   // The 10th byte of a varint holds bit 63 alone. Dropping the bits above
@@ -308,8 +289,6 @@ TEST(Wire, OverlongVarintRejectedByBothCodecs) {
   buf.put_u8(0x02);
   ByteReader r(buf);
   EXPECT_THROW(decode_value(r, no_ref_decode), RuntimeFault);
-  ByteReader rc(buf);
-  EXPECT_THROW(decode_value_compat(rc, no_ref_decode), RuntimeFault);
 }
 
 TEST(Wire, LyingListCountIsRejectedNotAllocated) {
@@ -326,8 +305,6 @@ TEST(Wire, LyingListCountIsRejectedNotAllocated) {
     buf.put_varint(lie);  // claims elements that are not there
     ByteReader r(buf);
     EXPECT_THROW(decode_value(r, no_ref_decode), RuntimeFault);
-    ByteReader rc(buf);
-    EXPECT_THROW(decode_value_compat(rc, no_ref_decode), RuntimeFault);
   }
 
   // Nested: a well-formed outer list whose inner list lies.
@@ -349,38 +326,29 @@ TEST(Wire, LyingListCountIsRejectedNotAllocated) {
   EXPECT_TRUE(ro.done());
 }
 
-TEST(ProxyRuntimeTest, FastAndLegacyPathsChargeIdenticalCycles) {
-  // End-to-end cycle-identity check behind the abl_rmi_fastpath gate: the
-  // same mixed primitive/generic call sequence under fast_rmi on and off
-  // must land on the same simulated clock and the same transition stats.
-  std::array<std::uint64_t, 2> total_cycles{};
-  std::array<std::uint64_t, 2> fast_calls{};
-  std::array<sgx::BridgeStats, 2> bridge_stats;
-  for (const bool fast : {false, true}) {
-    core::AppConfig config;
-    config.fast_rmi = fast;
-    core::PartitionedApp app(apps::synthetic::build_micro_app(), config);
-    auto& u = app.untrusted_context();
-    const Value w = u.construct("Worker", {});
-    for (int i = 0; i < 25; ++i) {
-      u.invoke(w.as_ref(), "set", {Value(std::int32_t{i})});
-      u.invoke(w.as_ref(), "get", {});
-      u.invoke(w.as_ref(), "set_list",
-               {Value(rt::ValueList{Value(std::int32_t{i}), Value("s")})});
-    }
-    total_cycles[fast] = app.env().clock.now();
-    fast_calls[fast] = app.rmi().stats().fast_path_calls;
-    bridge_stats[fast] = app.bridge().stats();
+TEST(ProxyRuntimeTest, MixedCallSequenceChargesPinnedCycles) {
+  // End-to-end pin of the RMI hot path: a mixed primitive/generic call
+  // sequence must land on exactly the clock and transition stats that the
+  // pre-overhaul string-dispatch path also produced. The hot path is a
+  // host-only optimisation, so any simulated drift is a bug.
+  core::PartitionedApp app(apps::synthetic::build_micro_app());
+  auto& u = app.untrusted_context();
+  const Value w = u.construct("Worker", {});
+  for (int i = 0; i < 25; ++i) {
+    u.invoke(w.as_ref(), "set", {Value(std::int32_t{i})});
+    u.invoke(w.as_ref(), "get", {});
+    u.invoke(w.as_ref(), "set_list",
+             {Value(rt::ValueList{Value(std::int32_t{i}), Value("s")})});
   }
-  EXPECT_EQ(total_cycles[0], total_cycles[1]);
-  EXPECT_EQ(fast_calls[0], 0u) << "legacy mode must not take the fast path";
+  EXPECT_EQ(app.env().clock.now(), 70'799'782u);
   // 25 sets + 25 gets + the zero-arg construct relay: all-primitive
   // signatures every one.
-  EXPECT_EQ(fast_calls[1], 51u);
-  EXPECT_EQ(bridge_stats[0].ecalls, bridge_stats[1].ecalls);
-  EXPECT_EQ(bridge_stats[0].ocalls, bridge_stats[1].ocalls);
-  EXPECT_EQ(bridge_stats[0].bytes_in, bridge_stats[1].bytes_in);
-  EXPECT_EQ(bridge_stats[0].bytes_out, bridge_stats[1].bytes_out);
+  EXPECT_EQ(app.rmi().stats().fast_path_calls, 51u);
+  const sgx::BridgeStats& bridge = app.bridge().stats();
+  EXPECT_EQ(bridge.ecalls, 76u);
+  EXPECT_EQ(bridge.ocalls, 0u);
+  EXPECT_EQ(bridge.bytes_in, 1'059u);
+  EXPECT_EQ(bridge.bytes_out, 176u);
 }
 
 // --- ProxyRuntime behaviours through the public pipeline -------------------

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 gate: configure + build + full test suite (ROADMAP.md), then
 # smoke passes of the honesty-contract ablations so regressions that only
-# show up as cycle divergence (RMI fast path vs legacy, switchless ring
-# vs inline) fail fast too.
+# show up as simulated-cycle drift (the RMI hot path against its pinned
+# cycles, the switchless ring against the inline shortcut) fail fast too.
 #
 # Usage: tools/tier1.sh [build-dir]   (default: build)
-# Also wired as the CMake `check` target: cmake --build build --target check
+# This is the one tier-1 step list: the CMake `check` target runs it too
+# (cmake --build build --target check).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
