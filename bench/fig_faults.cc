@@ -24,7 +24,7 @@
 
 #include "apps/illustrative/bank.h"
 #include "bench/bench_common.h"
-#include "core/multi_app.h"
+#include "core/app.h"
 #include "faults/injector.h"
 #include "faults/plan.h"
 #include "sched/scheduler.h"
@@ -57,7 +57,7 @@ double availability(const FaultRunResult& r) {
 FaultRunResult run_faulty_workload(const server::ServerConfig& srv_cfg,
                                    const server::OpenLoopSpec& spec,
                                    const faults::FaultPlanConfig& fault_cfg) {
-  core::MultiIsolateApp app(apps::build_bank_app(), kTenants, {});
+  core::PartitionedApp app(apps::build_bank_app(), kTenants, {});
   sched::Scheduler sched(app.env());
   server::RequestServer srv(sched, app, srv_cfg);
 

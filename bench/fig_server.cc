@@ -23,7 +23,7 @@
 
 #include "apps/illustrative/bank.h"
 #include "bench/bench_common.h"
-#include "core/multi_app.h"
+#include "core/app.h"
 #include "sched/scheduler.h"
 #include "server/harness.h"
 #include "server/server.h"
@@ -51,7 +51,7 @@ RunResult run_workload(const core::AppConfig& app_cfg,
                        const server::OpenLoopSpec& spec) {
   // Declaration order is the destruction contract: the server stops (and
   // the scheduler cancels its fibers) before the app's bridge dies.
-  core::MultiIsolateApp app(apps::build_bank_app(), kTenants, app_cfg);
+  core::PartitionedApp app(apps::build_bank_app(), kTenants, app_cfg);
   sched::Scheduler sched(app.env());
   server::RequestServer srv(sched, app, srv_cfg);
   server::LoadHarness harness(srv);

@@ -22,7 +22,7 @@
 #include "apps/illustrative/bank.h"
 #include "bench/bench_common.h"
 #include "bench/stress_common.h"
-#include "core/multi_app.h"
+#include "core/app.h"
 #include "sched/scheduler.h"
 #include "server/harness.h"
 #include "server/server.h"
@@ -45,7 +45,7 @@ RunResult run_burst(std::uint32_t tcs_slots, bool switchless,
   server::ServerConfig srv_cfg;
   srv_cfg.switchless = switchless;
 
-  core::MultiIsolateApp app(apps::build_bank_app(), kTenants, app_cfg);
+  core::PartitionedApp app(apps::build_bank_app(), kTenants, app_cfg);
   sched::Scheduler sched(app.env());
   server::RequestServer srv(sched, app, srv_cfg);
   server::LoadHarness harness(srv);

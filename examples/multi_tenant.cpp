@@ -11,7 +11,6 @@
 
 #include "apps/illustrative/bank.h"
 #include "core/montsalvat.h"
-#include "core/multi_app.h"
 #include "support/stats.h"
 
 int main() {
@@ -20,7 +19,7 @@ int main() {
 
   std::puts("== Multi-tenant enclave: one enclave, three isolates ==\n");
 
-  core::MultiIsolateApp app(apps::build_bank_app(), /*trusted_isolates=*/3);
+  core::PartitionedApp app(apps::build_bank_app(), /*trusted_isolates=*/3);
   auto& u = app.untrusted_context();
 
   const char* tenants[] = {"acme", "globex", "initech"};
@@ -30,8 +29,9 @@ int main() {
         t, "Account",
         {Value(std::string(tenants[t]) + "-ops"),
          Value(static_cast<std::int32_t>(100 * (t + 1)))}));
-    std::printf("isolate %u: provisioned account for %-8s (mirrors there: %zu)\n",
-                t, tenants[t], app.rmi().trusted_registry(t).size());
+    std::printf(
+        "isolate %u: provisioned account for %-8s (mirrors there: %zu)\n", t,
+        tenants[t], app.rmi().registry(Side::kTrusted, t).size());
   }
 
   // Tenant 1 gets busy; its isolate's GC runs without touching the others.
@@ -56,6 +56,7 @@ int main() {
   try {
     u.invoke(reg0.as_ref(), "addAccount", {accounts[2]});
     std::puts("\ncross-tenant reference accepted — BUG");
+    return 1;
   } catch (const SecurityFault& e) {
     std::printf("\ncross-tenant reference rejected: %s\n", e.what());
   }

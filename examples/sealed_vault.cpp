@@ -74,6 +74,7 @@ int main() {
     try {
       tampered.init(good_image);
       std::puts("attack 1: tampered enclave initialized — BUG");
+      return 1;
     } catch (const SecurityFault&) {
       std::puts("attack 1: tampered image rejected at EINIT (measurement "
                 "mismatch)");
@@ -85,6 +86,7 @@ int main() {
     try {
       platform.unseal(other, sgx::SealedBlob::deserialize(sealed_state));
       std::puts("attack 2: foreign enclave unsealed the vault — BUG");
+      return 1;
     } catch (const SecurityFault&) {
       std::puts("attack 2: foreign enclave cannot unseal (sealing policy "
                 "binds to MRENCLAVE)");
@@ -98,6 +100,7 @@ int main() {
     try {
       platform.unseal(vault, sgx::SealedBlob::deserialize(corrupted));
       std::puts("attack 3: corrupted blob accepted — BUG");
+      return 1;
     } catch (const SecurityFault&) {
       std::puts("attack 3: corrupted blob fails authentication");
     }

@@ -194,10 +194,10 @@ struct Direction {
 
 Direction crossing_costs(const CostModel& cost) {
   return {static_cast<double>(cost.ocall_cycles +
-                              cost.isolate_attach_untrusted_cycles +
+                              cost.isolate_attach_cycles(/*trusted=*/false) +
                               cost.edge_call_cycles),
           static_cast<double>(cost.ecall_cycles +
-                              cost.isolate_attach_trusted_cycles +
+                              cost.isolate_attach_cycles(/*trusted=*/true) +
                               cost.edge_call_cycles)};
 }
 

@@ -67,17 +67,13 @@ std::vector<xform::MethodRef> all_public_methods(const model::AppModel& set) {
   return eps;
 }
 
-// Entry points for one image: the §5.3 rule plus any configured extra
-// roots whose class/method exist in this image's input set.
-std::vector<xform::MethodRef> image_entry_points(
-    const model::AppModel& set, bool is_trusted,
+// Appends the configured extra roots whose class/method exist in `set`.
+// Proxies qualify too: rooting a proxy keeps the remote class callable
+// from host-driven code even when no bytecode path reaches it.
+std::vector<xform::MethodRef> with_extra_roots(
+    std::vector<xform::MethodRef> eps, const model::AppModel& set,
     const std::vector<xform::MethodRef>& extras) {
-  std::vector<xform::MethodRef> eps =
-      is_trusted ? xform::trusted_image_entry_points(set)
-                 : xform::untrusted_image_entry_points(set);
   for (const auto& [cls, method] : extras) {
-    // Proxies qualify too: rooting a proxy keeps the remote class callable
-    // from host-driven code even when no bytecode path reaches it.
     const model::ClassDecl* c = set.find_class(cls);
     if (c != nullptr && c->find_method(method) != nullptr) {
       eps.push_back({cls, method});
@@ -86,11 +82,49 @@ std::vector<xform::MethodRef> image_entry_points(
   return eps;
 }
 
+// Entry points for one image: the §5.3 rule plus the extra roots.
+std::vector<xform::MethodRef> image_entry_points(
+    const model::AppModel& set, bool is_trusted,
+    const std::vector<xform::MethodRef>& extras) {
+  return with_extra_roots(is_trusted
+                              ? xform::trusted_image_entry_points(set)
+                              : xform::untrusted_image_entry_points(set),
+                          set, extras);
+}
+
 }  // namespace
 
 PartitionedApp::PartitionedApp(const model::AppModel& app, AppConfig config,
                                interp::IntrinsicTable intrinsics)
-    : env_(make_env(config)), config_(std::move(config)) {
+    : PartitionedApp(app, 1, std::move(config), std::move(intrinsics)) {}
+
+PartitionedApp::PartitionedApp(const model::AppModel& app,
+                               std::uint32_t trusted_isolates,
+                               AppConfig config,
+                               interp::IntrinsicTable intrinsics)
+    : owned_env_(make_env(config)),
+      env_(*owned_env_),
+      config_(std::move(config)) {
+  build(app, trusted_isolates, "", std::move(intrinsics));
+}
+
+PartitionedApp::PartitionedApp(Env& env, const model::AppModel& app,
+                               std::uint32_t trusted_isolates,
+                               AppConfig config,
+                               const std::string& name_suffix,
+                               interp::IntrinsicTable intrinsics)
+    : env_(env), config_(std::move(config)) {
+  // The shared Env's cost model, filesystem and telemetry configuration
+  // belong to the caller; this app only charges cycles into them.
+  build(app, trusted_isolates, name_suffix, std::move(intrinsics));
+}
+
+void PartitionedApp::build(const model::AppModel& app,
+                           std::uint32_t trusted_isolates,
+                           const std::string& name_suffix,
+                           interp::IntrinsicTable intrinsics) {
+  MSV_CHECK_MSG(trusted_isolates >= 1, "need at least one trusted isolate");
+
   // 0. Optional re-partitioning (DESIGN.md §15): apply the optimizer's
   // plan before anything looks at the annotations, so lint, transform and
   // image generation all see the re-partitioned model.
@@ -131,50 +165,62 @@ PartitionedApp::PartitionedApp(const model::AppModel& app, AppConfig config,
   edge_ = sgx::edger8r_generate(edl_);
 
   // 4. SGX application creation (§5.4): measured load + EINIT.
-  const Sha256::Digest measurement =
-      measure_enclave_blob(trusted_image_, edge_);
+  measurement_ = measure_enclave_blob(trusted_image_, edge_);
   enclave_ = std::make_unique<sgx::Enclave>(
-      *env_, "montsalvat_enclave", measurement,
+      env_,
+      name_suffix.empty() ? "montsalvat_enclave"
+                          : "montsalvat_enclave_" + name_suffix,
+      measurement_,
       trusted_image_.total_bytes() + shim::EnclaveShim::shim_code_bytes(),
       config_.enclave_heap_max_bytes, config_.enclave_stack_bytes,
       config_.tcs);
-  enclave_->init(measurement);
+  enclave_->init(measurement_);
 
-  // 5. Runtimes: one isolate per image (§2.2), the trusted one backed by
-  // EPC memory.
-  untrusted_domain_ = std::make_unique<UntrustedDomain>(*env_);
-  trusted_domain_ = std::make_unique<sgx::EnclaveDomain>(*env_, *enclave_);
-  trusted_iso_ = std::make_unique<rt::Isolate>(
-      *env_, *trusted_domain_,
-      rt::Isolate::Config{"trusted-isolate", config_.trusted_heap_bytes,
-                          trusted_image_.image_heap_bytes});
+  // 5. Runtimes: one isolate per image (§2.2), the trusted ones backed by
+  // EPC memory. All trusted isolates share the enclave (and hence the
+  // EPC), but each has its own heap and GC.
+  untrusted_domain_ = std::make_unique<UntrustedDomain>(env_);
+  trusted_domain_ = std::make_unique<sgx::EnclaveDomain>(env_, *enclave_);
   untrusted_iso_ = std::make_unique<rt::Isolate>(
-      *env_, *untrusted_domain_,
+      env_, *untrusted_domain_,
       rt::Isolate::Config{"untrusted-isolate", config_.untrusted_heap_bytes,
                           untrusted_image_.image_heap_bytes});
+  for (std::uint32_t k = 0; k < trusted_isolates; ++k) {
+    // The name seeds the heap's identity hashes and the proxy hasher.
+    trusted_isos_.push_back(std::make_unique<rt::Isolate>(
+        env_, *trusted_domain_,
+        rt::Isolate::Config{trusted_isolates == 1
+                                ? std::string("trusted-isolate")
+                                : "trusted-isolate-" + std::to_string(k),
+                            config_.trusted_heap_bytes,
+                            trusted_image_.image_heap_bytes}));
+  }
 
-  // 6. Bridge, shim and the two execution contexts.
-  bridge_ = std::make_unique<sgx::TransitionBridge>(*env_, *enclave_);
-  host_io_ = std::make_unique<shim::HostIo>(*env_, *untrusted_domain_);
+  // 6. Bridge, shim and the execution contexts.
+  bridge_ = std::make_unique<sgx::TransitionBridge>(env_, *enclave_);
+  host_io_ = std::make_unique<shim::HostIo>(env_, *untrusted_domain_);
   enclave_shim_ = std::make_unique<shim::EnclaveShim>(
-      *env_, *bridge_, *host_io_, *trusted_domain_);
+      env_, *bridge_, *host_io_, *trusted_domain_);
   enclave_shim_->register_ocalls();
-  trusted_ctx_ = std::make_unique<interp::ExecContext>(
-      *env_, *trusted_iso_, trusted_image_.classes, *enclave_shim_,
-      intrinsics);
+  std::vector<interp::ExecContext*> trusted_ptrs;
+  for (auto& iso : trusted_isos_) {
+    trusted_ctxs_.push_back(std::make_unique<interp::ExecContext>(
+        env_, *iso, trusted_image_.classes, *enclave_shim_, intrinsics));
+    trusted_ctxs_.back()->set_verify_bytecode(config_.verify_bytecode);
+    trusted_ptrs.push_back(trusted_ctxs_.back().get());
+  }
   untrusted_ctx_ = std::make_unique<interp::ExecContext>(
-      *env_, *untrusted_iso_, untrusted_image_.classes, *host_io_,
+      env_, *untrusted_iso_, untrusted_image_.classes, *host_io_,
       std::move(intrinsics));
-  trusted_ctx_->set_verify_bytecode(config_.verify_bytecode);
   untrusted_ctx_->set_verify_bytecode(config_.verify_bytecode);
 
   // 7. RMI machinery and GC helpers (§5.2, §5.5).
   rmi_ = std::make_unique<rmi::ProxyRuntime>(
-      *env_, *bridge_, *trusted_ctx_, *untrusted_ctx_,
+      env_, *bridge_, trusted_ptrs, *untrusted_ctx_,
       rmi::ProxyRuntime::Config{config_.hash_scheme,
                                 config_.gc_scan_period_seconds});
   rmi_->register_handlers();
-  trusted_ctx_->set_remote(rmi_.get());
+  for (auto& ctx : trusted_ctxs_) ctx->set_remote(rmi_.get());
   untrusted_ctx_->set_remote(rmi_.get());
 
   if (config_.switchless_relays) {
@@ -196,6 +242,19 @@ PartitionedApp::~PartitionedApp() = default;
 rt::Value PartitionedApp::run_main(std::vector<rt::Value> args) {
   // SGX applications begin in the untrusted runtime (§5.3).
   return untrusted_ctx_->run_main(std::move(args));
+}
+
+interp::ExecContext& PartitionedApp::trusted_context(std::uint32_t index) {
+  MSV_CHECK_MSG(index < trusted_ctxs_.size(), "no such trusted isolate");
+  return *trusted_ctxs_[index];
+}
+
+void PartitionedApp::restart_enclave() {
+  telemetry::SpanScope span(env_.telemetry.tracer(),
+                            telemetry::Category::kFault,
+                            env_.telemetry.names().enclave_restart);
+  enclave_->restart(measurement_);
+  rmi_->on_enclave_restart();
 }
 
 TcbReport PartitionedApp::tcb_report() const {
@@ -221,14 +280,9 @@ UnpartitionedApp::UnpartitionedApp(const model::AppModel& app,
 
   // One image, rooted at main, linked entirely into the enclave (§5.6).
   xform::ImageBuilder builder(config_.image);
-  std::vector<xform::MethodRef> eps{{app.main_class(), "main"}};
-  for (const auto& [cls, method] : config_.extra_entry_points) {
-    const model::ClassDecl* c = app.find_class(cls);
-    if (c != nullptr && c->find_method(method) != nullptr) {
-      eps.push_back({cls, method});
-    }
-  }
-  image_ = builder.build(app, /*is_trusted=*/true, eps);
+  image_ = builder.build(app, /*is_trusted=*/true,
+                         with_extra_roots({{app.main_class(), "main"}}, app,
+                                          config_.extra_entry_points));
 
   sgx::EdlFunction main_fn;
   main_fn.name = "ecall_main";
@@ -236,13 +290,8 @@ UnpartitionedApp::UnpartitionedApp(const model::AppModel& app,
   edl_.add_ecall(std::move(main_fn));
   shim::EnclaveShim::add_edl_entries(edl_);
 
-  const sgx::EdgeRoutines edge = sgx::edger8r_generate(edl_);
-  Sha256 h;
-  const ByteBuffer image_bytes = image_.serialize();
-  h.update(image_bytes.data(), image_bytes.size());
-  h.update("montsalvat-shim-v1");
-  h.update(edge.trusted_source);
-  const Sha256::Digest measurement = h.finish();
+  const Sha256::Digest measurement =
+      measure_enclave_blob(image_, sgx::edger8r_generate(edl_));
 
   enclave_ = std::make_unique<sgx::Enclave>(
       *env_, "montsalvat_enclave", measurement,
@@ -267,13 +316,13 @@ UnpartitionedApp::UnpartitionedApp(const model::AppModel& app,
   ctx_->set_verify_bytecode(config_.verify_bytecode);
 
   ecall_main_id_ = bridge_->register_ecall("ecall_main", [this](ByteReader&) {
-    env_->clock.advance(env_->cost.isolate_attach_trusted_cycles);
+    env_->clock.advance(env_->cost.isolate_attach_cycles(/*trusted=*/true));
     ctx_->run_main();
     return ByteBuffer();
   });
   ecall_invoke_id_ =
       bridge_->register_ecall("ecall_invoke", [this](ByteReader&) {
-        env_->clock.advance(env_->cost.isolate_attach_trusted_cycles);
+        env_->clock.advance(env_->cost.isolate_attach_cycles(/*trusted=*/true));
         MSV_CHECK_MSG(pending_invoke_ != nullptr,
                       "no pending enclave function");
         pending_result_ = (*pending_invoke_)(*ctx_);
@@ -309,18 +358,12 @@ NativeApp::NativeApp(const model::AppModel& app, AppConfig config,
   MSV_CHECK_MSG(!app.main_class().empty(), "native app needs a main class");
   if (config_.lint_partition) lint_or_throw(app);
   xform::ImageBuilder builder(config_.image);
-  std::vector<xform::MethodRef> eps{{app.main_class(), "main"}};
-  if (config_.root_everything) {
-    eps = all_public_methods(app);
-  } else {
-    for (const auto& [cls, method] : config_.extra_entry_points) {
-      const model::ClassDecl* c = app.find_class(cls);
-      if (c != nullptr && c->find_method(method) != nullptr) {
-        eps.push_back({cls, method});
-      }
-    }
-  }
-  image_ = builder.build(app, /*is_trusted=*/false, eps);
+  image_ = builder.build(
+      app, /*is_trusted=*/false,
+      config_.root_everything
+          ? all_public_methods(app)
+          : with_extra_roots({{app.main_class(), "main"}}, app,
+                             config_.extra_entry_points));
   domain_ = std::make_unique<UntrustedDomain>(*env_);
   iso_ = std::make_unique<rt::Isolate>(
       *env_, *domain_,

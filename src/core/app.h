@@ -4,8 +4,9 @@
 //
 //   * PartitionedApp    — the full Montsalvat pipeline: annotate ->
 //     bytecode transformation -> two native images -> EDL + Edger8r ->
-//     measured enclave; trusted classes execute inside, untrusted outside,
-//     proxies and the GC helpers in between. (Part / RTWU / RUWT series.)
+//     measured enclave; trusted classes execute inside (in one isolate, or
+//     one per tenant), untrusted outside, proxies and the GC helpers in
+//     between. (Part / RTWU / RUWT series; the serving layer and fleet.)
 //   * UnpartitionedApp  — §5.6: the whole application built into a single
 //     native image linked into the enclave; main enters via one ecall and
 //     all I/O relays through the shim. (NoPart-NI series.)
@@ -101,6 +102,27 @@ class PartitionedApp {
   PartitionedApp(const model::AppModel& app, AppConfig config = {},
                  interp::IntrinsicTable intrinsics =
                      interp::IntrinsicTable::defaults());
+  // The same with `trusted_isolates` (>= 1) trusted isolates in the one
+  // enclave (future work §7): separate heaps running the trusted image,
+  // independently garbage collected (§2.2). The untrusted runtime
+  // addresses an isolate when creating proxies (construct_in), and each
+  // proxy stays bound to the isolate that owns its mirror. Typical use:
+  // one isolate per tenant of an enclave service.
+  PartitionedApp(const model::AppModel& app, std::uint32_t trusted_isolates,
+                 AppConfig config = {},
+                 interp::IntrinsicTable intrinsics =
+                     interp::IntrinsicTable::defaults());
+  // Shared-environment variant for multi-enclave topologies (the fleet,
+  // DESIGN.md §14): every enclave of the fleet lives on ONE machine — one
+  // virtual clock, one cost model, one telemetry spine — so `env` is
+  // borrowed, not owned. config.cost / config.fs / config.trace are
+  // ignored; the caller configured the shared Env once. `name_suffix`
+  // disambiguates the enclaves ("shard0-a", ...) in traces and errors.
+  PartitionedApp(Env& env, const model::AppModel& app,
+                 std::uint32_t trusted_isolates, AppConfig config = {},
+                 const std::string& name_suffix = "",
+                 interp::IntrinsicTable intrinsics =
+                     interp::IntrinsicTable::defaults());
   ~PartitionedApp();
 
   PartitionedApp(const PartitionedApp&) = delete;
@@ -108,10 +130,11 @@ class PartitionedApp {
 
   rt::Value run_main(std::vector<rt::Value> args = {});
 
-  Env& env() { return *env_; }
-  double now_seconds() const { return env_->clock.seconds(); }
+  Env& env() { return env_; }
+  double now_seconds() const { return env_.clock.seconds(); }
+  std::uint32_t isolate_count() const { return rmi_->isolate_count(); }
 
-  interp::ExecContext& trusted_context() { return *trusted_ctx_; }
+  interp::ExecContext& trusted_context(std::uint32_t index = 0);
   interp::ExecContext& untrusted_context() { return *untrusted_ctx_; }
   sgx::TransitionBridge& bridge() { return *bridge_; }
   sgx::Enclave& enclave() { return *enclave_; }
@@ -126,22 +149,49 @@ class PartitionedApp {
 
   TcbReport tcb_report() const;
 
+  // Creates a proxy whose mirror lives in trusted isolate `index`.
+  rt::Value construct_in(std::uint32_t index, const std::string& cls,
+                         std::vector<rt::Value> args) {
+    return rmi_->construct_in(index, cls, std::move(args));
+  }
+
+  // Collects one trusted isolate's heap — the others keep running
+  // untouched (the GraalVM isolate property the design builds on, §2.2).
+  void collect_isolate(std::uint32_t index) {
+    trusted_context(index).isolate().heap().collect();
+  }
+
+  // Recovery path for a lost enclave (DESIGN.md §12): re-create and
+  // re-measure against the enclave blob (charging the full build cost),
+  // then fence the RMI layer so stale proxies fault instead of routing to
+  // dead mirrors. Callers rebuild session state afterwards — typically by
+  // unsealing a checkpoint (server/server.h). Throws unless the enclave is
+  // currently lost.
+  void restart_enclave();
+
  private:
-  std::unique_ptr<Env> env_;
+  // Common tail of the constructors: everything after the Env exists.
+  void build(const model::AppModel& app, std::uint32_t trusted_isolates,
+             const std::string& name_suffix,
+             interp::IntrinsicTable intrinsics);
+
+  std::unique_ptr<Env> owned_env_;  // null in the shared-Env variant
+  Env& env_;
   AppConfig config_;
   xform::NativeImage trusted_image_;
   xform::NativeImage untrusted_image_;
   sgx::EdlSpec edl_;
   sgx::EdgeRoutines edge_;
+  Sha256::Digest measurement_{};
   std::unique_ptr<sgx::Enclave> enclave_;
   std::unique_ptr<UntrustedDomain> untrusted_domain_;
   std::unique_ptr<sgx::EnclaveDomain> trusted_domain_;
-  std::unique_ptr<rt::Isolate> trusted_iso_;
+  std::vector<std::unique_ptr<rt::Isolate>> trusted_isos_;
   std::unique_ptr<rt::Isolate> untrusted_iso_;
   std::unique_ptr<sgx::TransitionBridge> bridge_;
   std::unique_ptr<shim::HostIo> host_io_;
   std::unique_ptr<shim::EnclaveShim> enclave_shim_;
-  std::unique_ptr<interp::ExecContext> trusted_ctx_;
+  std::vector<std::unique_ptr<interp::ExecContext>> trusted_ctxs_;
   std::unique_ptr<interp::ExecContext> untrusted_ctx_;
   std::unique_ptr<rmi::ProxyRuntime> rmi_;
 };

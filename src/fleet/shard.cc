@@ -29,10 +29,10 @@ Shard::Shard(Env& env, sched::Scheduler& sched,
   // Both enclaves are built (and their ECREATE/EADD/EINIT bill paid) at
   // fleet start, on the shared clock — the standby's warmth is exactly
   // this prepaid cost.
-  apps_[0] = std::make_unique<core::MultiIsolateApp>(
+  apps_[0] = std::make_unique<core::PartitionedApp>(
       env_, app_model, config_.slots, app_config, tag + "-a");
   if (config_.replication) {
-    apps_[1] = std::make_unique<core::MultiIsolateApp>(
+    apps_[1] = std::make_unique<core::PartitionedApp>(
         env_, app_model, config_.slots, app_config, tag + "-b");
     standby_ready_ = true;
   }
@@ -309,10 +309,10 @@ void Shard::execute_batch(Slot& slot, std::vector<Pending*>& batch) {
     // here drops to the per-request fallback, which owns the retry budget.
     if (config_.recovery.enabled) ensure_recovered();
     prepare_slot(slot);
-    core::MultiIsolateApp& app = active_app();
+    core::PartitionedApp& app = active_app();
     const model::ClassDecl& cls =
         app.untrusted_context().class_of(slot.state.session.as_ref());
-    std::vector<rmi::MultiIsolateRuntime::BatchCall> calls(batch.size());
+    std::vector<rmi::ProxyRuntime::BatchCall> calls(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const Pending& p = *batch[i];
       calls[i].proxy = slot.state.session.as_ref();
@@ -323,7 +323,7 @@ void Shard::execute_batch(Slot& slot, std::vector<Pending*>& batch) {
         calls[i].stub = cls.find_method("getBalance");
       }
     }
-    const std::vector<rmi::MultiIsolateRuntime::BatchOutcome> outcomes =
+    const std::vector<rmi::ProxyRuntime::BatchOutcome> outcomes =
         app.rmi().invoke_batch(calls);
     for (std::size_t i = 0; i < batch.size(); ++i) {
       Pending* p = batch[i];
@@ -373,7 +373,7 @@ std::int64_t Shard::execute_with_retry(Slot& slot, Pending& p) {
     try {
       if (rc.enabled) ensure_recovered();
       prepare_slot(slot);
-      core::MultiIsolateApp& app = active_app();
+      core::PartitionedApp& app = active_app();
       const rt::Value result =
           p.req.op == server::RequestOp::kDeposit
               ? app.untrusted_context().invoke(slot.state.session.as_ref(),
@@ -552,7 +552,7 @@ void Shard::prepare_slot(Slot& slot) {
                               telemetry::Category::kFleet,
                               env_.telemetry.names().fleet_restore,
                               static_cast<std::int32_t>(slot.tenant));
-    core::MultiIsolateApp& app = active_app();
+    core::PartitionedApp& app = active_app();
     std::int32_t balance = config_.initial_balance;
     try {
       if (const auto restored = slot.state.unseal_checkpoint(

@@ -1,7 +1,7 @@
 // One fleet shard: an active enclave, an optional warm standby, and a
 // worker pool serving the tenants the ring assigns here (DESIGN.md §14).
 //
-// A shard owns up to two MultiIsolateApp instances on the fleet's shared
+// A shard owns up to two PartitionedApp instances on the fleet's shared
 // Env (one clock, one cost model, one telemetry spine):
 //
 //   * The *active* app holds every resident tenant's live session and
@@ -35,7 +35,7 @@
 #include <string>
 #include <vector>
 
-#include "core/multi_app.h"
+#include "core/app.h"
 #include "sched/scheduler.h"
 #include "server/server.h"
 #include "server/tenant_state.h"
@@ -153,10 +153,10 @@ class Shard {
   // were fenced and fault with StaleProxyError.
   std::uint64_t authority_epoch() const { return authority_epoch_; }
 
-  core::MultiIsolateApp& active_app() { return *apps_[active_]; }
-  const core::MultiIsolateApp& active_app() const { return *apps_[active_]; }
+  core::PartitionedApp& active_app() { return *apps_[active_]; }
+  const core::PartitionedApp& active_app() const { return *apps_[active_]; }
   // Null when replication is off.
-  core::MultiIsolateApp* standby_app() {
+  core::PartitionedApp* standby_app() {
     return apps_[active_ ^ 1] == nullptr ? nullptr : apps_[active_ ^ 1].get();
   }
 
@@ -233,7 +233,7 @@ class Shard {
   ShardConfig config_;
   sgx::SealingPlatform sealer_;
   // [0] primary at start; [1] standby (null with replication off).
-  std::unique_ptr<core::MultiIsolateApp> apps_[2];
+  std::unique_ptr<core::PartitionedApp> apps_[2];
   std::uint32_t active_ = 0;
   std::uint64_t authority_epoch_ = 1;
   // Bumped whenever every resident session becomes invalid (promotion or

@@ -3,8 +3,8 @@
 // Every proxy invocation pays a full enclave transition (~13,100 cycles)
 // plus an isolate attach on the callee side (~480,000 cycles for the
 // trusted image) — the dominant cost on chatty partitioned workloads.
-// This header holds the pieces shared by the two batching runtimes
-// (ProxyRuntime and MultiIsolateRuntime):
+// This header holds the pieces ProxyRuntime's futures flush and its
+// synchronous invoke_batch share:
 //
 //   * the batch wire frame: N per-call payloads packed into one request
 //     buffer, dispatched by a single bridge transition, with the packed

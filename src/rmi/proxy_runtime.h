@@ -1,7 +1,7 @@
 // The proxy/mirror RMI machinery (§5.2) and the GC helpers (§5.5).
 //
-// ProxyRuntime connects the two ExecContexts (trusted and untrusted native
-// images) through the transition bridge:
+// ProxyRuntime connects the untrusted native image's ExecContext with the
+// enclave's N >= 1 trusted isolates through the transition bridge:
 //
 //   * `new Proxy(args)` on one side creates the local proxy object (hash
 //     field only), serializes the constructor arguments, transitions to
@@ -13,16 +13,25 @@
 //   * annotated objects passed as arguments or returned travel as hashes
 //     (kRefOwnedByEncoder/kRefOwnedByDecoder, see wire.h); proxies are
 //     materialized on demand and cached per hash so each object has at
-//     most one live proxy per runtime;
+//     most one live proxy per isolate;
 //   * neutral values are serialized and copied.
 //
+// Every trusted isolate runs the same trusted image in its own heap,
+// collected independently (§2.2); N = 1 is the paper's deployment. With
+// N >= 2 (§7's multi-isolate pairs) each relayed frame opens with a u32
+// target and a u32 caller isolate id — the `Isolate ctx` of the paper's
+// relay signature (Listing 4) — and each untrusted proxy stays bound to
+// the isolate owning its mirror; a proxy passed to another isolate (a
+// trusted-to-trusted edge) is rejected. One isolate needs no address, so
+// its frames carry no prefix.
+//
 // GC synchronisation: every proxy is also recorded in its isolate's weak
-// reference list together with its hash. The two GC helpers periodically
-// (default: every simulated second) scan their list for cleared entries
-// and evict the corresponding mirrors in the opposite registry — the
-// untrusted helper via an ecall, the in-enclave helper via an ocall. The
-// helpers are driven deterministically from pump_gc(), which the runtime
-// invokes before every top-level transition.
+// reference list together with its hash. The GC helpers scan these lists
+// for cleared entries and evict the mirrors in the opposite registry — the
+// untrusted helper via an ecall to the owning isolate, the in-enclave
+// helpers via an ocall. With one trusted isolate pump_gc() runs them every
+// scan period (default: every simulated second) before each top-level
+// transition; with more, force_gc_scan() or pump_gc() runs them.
 #pragma once
 
 #include <cstdint>
@@ -67,6 +76,15 @@ struct RmiStats {
   std::uint64_t batch_flushes = 0;
 };
 
+// Thrown when a proxy minted against a previous enclave incarnation (or
+// fenced by fence_proxies) is invoked: its mirror is gone or no longer
+// authoritative, so the call can never be routed. Typed so the serving
+// layer can rebuild the session instead of treating it as a bug.
+class StaleProxyError : public RuntimeFault {
+ public:
+  explicit StaleProxyError(const std::string& what) : RuntimeFault(what) {}
+};
+
 class ProxyRuntime final : public interp::RemoteInvoker,
                            public BatchFlushSink {
  public:
@@ -81,14 +99,27 @@ class ProxyRuntime final : public interp::RemoteInvoker,
     bool batching = false;
   };
 
+  // `trusted` holds one context per trusted isolate (at least one), all
+  // executing the same trusted image; `untrusted` is the host runtime.
   ProxyRuntime(Env& env, sgx::TransitionBridge& bridge,
-               interp::ExecContext& trusted_ctx,
-               interp::ExecContext& untrusted_ctx, Config config);
+               const std::vector<interp::ExecContext*>& trusted,
+               interp::ExecContext& untrusted, Config config);
   ~ProxyRuntime() override;
 
-  // Registers the relay handlers (every kRelay method of both images) and
-  // the GC eviction transitions on the bridge. Call exactly once.
+  // Registers the relay handlers (every kRelay method of both images), the
+  // batch endpoints and the GC eviction transitions on the bridge. Call
+  // exactly once.
   void register_handlers();
+
+  std::uint32_t isolate_count() const {
+    return static_cast<std::uint32_t>(trusted_.size());
+  }
+
+  // Constructs a proxy in the untrusted runtime whose mirror lives in
+  // trusted isolate `isolate`. A plain `new` of a proxy class targets
+  // isolate 0.
+  rt::Value construct_in(std::uint32_t isolate, const std::string& cls,
+                         std::vector<rt::Value> args);
 
   // ---- RemoteInvoker ----
   rt::Value construct_proxy(interp::ExecContext& caller,
@@ -107,11 +138,12 @@ class ProxyRuntime final : public interp::RemoteInvoker,
   // for its result. Marshalling (and its cycle charge) happens now; the
   // transition is deferred to the flush. Strict program order per
   // (caller task, direction) is preserved: the batch flushes before any
-  // synchronous call, on a direction or caller-side change, when the
-  // size bounds fill, at every scheduler suspension point, and on the
-  // first get(). Calls with non-primitive arguments (which may alias
-  // proxy state earlier batched calls mutate) conservatively flush and
-  // run synchronously — their future returns already resolved.
+  // synchronous call, on a caller-side, direction or target-isolate
+  // change, when the size bounds fill, at every scheduler suspension
+  // point, and on the first get(). Calls with non-primitive arguments
+  // (which may alias proxy state earlier batched calls mutate)
+  // conservatively flush and run synchronously — their future returns
+  // already resolved.
   RmiFuture invoke_proxy_async(interp::ExecContext& caller,
                                const rt::GcRef& proxy,
                                const model::ClassDecl& proxy_cls,
@@ -124,61 +156,130 @@ class ProxyRuntime final : public interp::RemoteInvoker,
   void flush_batches() override;
   std::size_t pending_batch_calls() const { return pending_calls_.size(); }
 
+  // One packed invocation for invoke_batch: an instance call on an
+  // untrusted-side proxy whose mirror lives in a trusted isolate.
+  struct BatchCall {
+    rt::GcRef proxy;
+    const model::MethodDecl* stub = nullptr;
+    std::vector<rt::Value> args;
+  };
+  // Per-call outcome. Application faults inside one entry do not abort
+  // the rest of the batch; they come back in-band so the caller (a
+  // serving coalescer) can fail just that request.
+  struct BatchOutcome {
+    bool ok = false;
+    rt::Value value;
+    std::string error;
+  };
+  // Packs `calls` into one batch transition and waits for it. All proxies
+  // must be owned by the same trusted isolate, and every proxy is fenced
+  // *up front*: a stale proxy fails the whole batch with StaleProxyError
+  // before any transition happens, so the serving layer's recovery ladder
+  // retries the batch as a unit. Transition-level faults (enclave lost
+  // mid-batch) likewise abort the whole batch by throwing.
+  std::vector<BatchOutcome> invoke_batch(const std::vector<BatchCall>& calls);
+
+  // ---- Fencing (DESIGN.md §12, §14) ----
+  // Authority fence: every untrusted proxy minted so far turns stale
+  // without an enclave restart. The fleet fences a shard's demoted runtime
+  // when a replica is promoted, so old sessions fault with StaleProxyError
+  // instead of double-executing. Proxies minted afterwards work normally.
+  void fence_proxies();
+  // Enclave-restart fence: the trusted heaps are gone, so every trusted
+  // registry and proxy table and the untrusted mirror registry are
+  // dropped, and proxies minted against the old incarnation turn stale.
+  void on_enclave_restart();
+
   // ---- GC helpers (§5.5) ----
   // Runs any helper whose scan period elapsed. Only effective at top level
   // (untrusted side); nested invocations are skipped, like a helper thread
   // that cannot preempt an enclave call it depends on.
   void pump_gc();
-  // Makes both helpers scan immediately (tests and Fig. 5b sampling).
+  // Makes every helper scan immediately (tests and Fig. 5b sampling).
   void force_gc_scan();
 
   // ---- Introspection for tests and benchmarks ----
-  const MirrorProxyRegistry& registry(Side side) const;
-  std::size_t live_proxy_count(Side side) const;
-  const GcHelperStats& gc_stats(Side side) const;
+  // `isolate` selects the trusted isolate; the untrusted side has one.
+  const MirrorProxyRegistry& registry(Side side,
+                                      std::uint32_t isolate = 0) const;
+  std::size_t live_proxy_count(Side side, std::uint32_t isolate = 0) const;
+  const GcHelperStats& gc_stats(Side side, std::uint32_t isolate = 0) const;
   const RmiStats& stats() const { return stats_; }
 
  private:
+  // Wire id of the (single) untrusted runtime; trusted isolates are
+  // numbered from 0.
+  static constexpr std::uint32_t kUntrustedId = 0xffffffffu;
+  // Marks a proxy stale by fence_proxies(). Enclave epochs start at 1.
+  static constexpr std::uint64_t kFencedEpoch = 0;
+
   struct SideState {
-    SideState(interp::ExecContext& c, HashScheme scheme)
+    SideState(interp::ExecContext& c, HashScheme scheme, std::uint32_t i)
         : ctx(c),
           registry(c.isolate()),
-          hasher(scheme, c.isolate().name()) {}
+          hasher(scheme, c.isolate().name()),
+          id(i) {}
 
     interp::ExecContext& ctx;
     MirrorProxyRegistry registry;
     ProxyHasher hasher;
+    std::uint32_t id;  // trusted isolate index, or kUntrustedId
     // hash -> weak-table index of the live local proxy for that hash.
     std::unordered_map<std::int64_t, std::uint32_t> proxy_by_hash;
     Cycles next_scan = 0;
     GcHelperStats gc_stats;
   };
 
-  SideState& state(Side side);
-  const SideState& state(Side side) const;
+  const SideState& state(Side side, std::uint32_t isolate) const;
   SideState& state_of(interp::ExecContext& ctx);
-  SideState& other(SideState& s);
+  // The side a wire id names; throws on ids no isolate has.
+  SideState& state_by_id(std::uint32_t id);
+  bool is_trusted(const SideState& s) const { return s.id != kUntrustedId; }
 
-  Side side_of(const SideState& s) const {
-    return s.ctx.isolate().trusted() ? Side::kTrusted : Side::kUntrusted;
-  }
+  // The callee of a call from `from`: the untrusted runtime for trusted
+  // callers, else the trusted isolate owning `self_hash`'s mirror
+  // (isolate 0 for static calls). Untrusted instance calls are fenced
+  // here.
+  SideState& callee_of(SideState& from, std::int64_t self_hash,
+                       bool is_static);
+  // Bookkeeping for a new untrusted proxy of `hash` whose mirror lives in
+  // isolate `owner`.
+  void track_proxy(std::int64_t hash, std::uint32_t owner);
+  // Throws StaleProxyError when `hash` was minted before the last fence or
+  // enclave restart.
+  void check_stale(std::int64_t hash) const;
+  // Adds every live untrusted proxy to stale_ under `epoch`; `overwrite`
+  // also re-marks proxies already in it.
+  void mark_live_proxies_stale(std::uint64_t epoch, bool overwrite);
+
+  // The hash field of `proxy` (0 for static stubs, which have none).
+  static std::int64_t self_hash_of(interp::ExecContext& caller,
+                                   const rt::GcRef& proxy,
+                                   const model::ClassDecl& proxy_cls,
+                                   const model::MethodDecl& stub);
+  // Creates the local proxy in `from` and its mirror in `to`.
+  rt::Value construct(SideState& from, SideState& to,
+                      const model::ClassDecl& proxy_cls,
+                      std::vector<rt::Value>& args);
 
   // Creates (or reuses) the local proxy object for `hash` of class
-  // `class_name` in `s`.
+  // `class_name` in `s`, owned by the side with wire id `owner`.
   rt::GcRef materialize_proxy(SideState& s, std::int64_t hash,
-                              const std::string& class_name);
+                              const std::string& class_name,
+                              std::uint32_t owner);
 
-  RefEncoder make_ref_encoder(SideState& s, std::uint32_t depth = 0);
-  RefDecoder make_ref_decoder(SideState& s, std::uint32_t depth = 0);
+  // `peer` is the wire id of the side at the other end of the frame.
+  RefEncoder make_ref_encoder(SideState& s, std::uint32_t peer,
+                              std::uint32_t depth = 0);
+  RefDecoder make_ref_decoder(SideState& s, std::uint32_t peer,
+                              std::uint32_t depth = 0);
 
   // Per-stub dispatch plan, resolved once per proxy-stub MethodDecl: the
-  // interned bridge call ID plus the primitive-signature flag. Subsequent
-  // invocations dispatch by ID through the bridge's flat tables instead of
-  // re-hashing the relay name.
+  // interned bridge call ID. Subsequent invocations dispatch by ID through
+  // the bridge's flat tables instead of re-hashing the relay name.
   struct RelayPlan {
     sgx::CallId id;
     bool via_ecall;
-    bool primitive;  // declared all-primitive signature (app model hint)
     // Caller-side span name ("rmi.invoke <relay>"), interned once here so
     // tracing adds no per-call string work.
     std::uint32_t span_name = 0;
@@ -188,9 +289,12 @@ class ProxyRuntime final : public interp::RemoteInvoker,
   // Everything one registered relay handler needs, resolved at
   // registration. The bridge closure captures a single pointer to its
   // site, so the std::function fits its small-object buffer (a fat
-  // capture would heap-allocate and indirect every dispatch).
+  // capture would heap-allocate and indirect every dispatch). The trusted
+  // image is shared by every trusted isolate, so one site serves them all.
   struct RelaySite {
     ProxyRuntime* rt;
+    // The callee with one trusted isolate; with more, the frame's route
+    // picks an isolate on this side.
     SideState* callee;
     const model::ClassDecl* cls;
     const model::MethodDecl* relay;
@@ -199,31 +303,47 @@ class ProxyRuntime final : public interp::RemoteInvoker,
     interp::ExecContext::QuickInfo quick;
   };
 
-  // Encodes self-hash + args into `buf` (an arena lease), taking the
-  // fixed-layout shortcut per primitive argument. Byte-for-byte identical
-  // to the generic encoder; charges charge_serialize the same.
-  void encode_call(ByteBuffer& buf, SideState& caller, std::int64_t self_hash,
-                   std::vector<rt::Value>& args);
-  // Pumps the GC helpers, then dispatches `payload` by the plan's interned
-  // ID; the response is written into `response`.
-  void transition(const RelayPlan& plan, const ByteBuffer& payload,
+  // Encodes [route] + self-hash + args into `buf` (empty on entry),
+  // taking the fixed-layout shortcut per primitive argument, and charges
+  // charge_serialize for every byte written. `routed` writes the u32
+  // target/caller prefix: set for single calls and futures with N >= 2,
+  // never for invoke_batch's entries.
+  void encode_call(ByteBuffer& buf, SideState& caller, SideState& callee,
+                   std::int64_t self_hash, const std::vector<rt::Value>& args,
+                   bool routed);
+  // Decodes one marshalled result on the caller side and charges
+  // charge_deserialize for it.
+  rt::Value decode_result(SideState& caller, std::uint32_t peer,
+                          const std::uint8_t* data, std::size_t size);
+  // Top-level transition of the RMI layer: pumps the periodic GC helpers
+  // (one trusted isolate only), then dispatches `payload` by interned ID;
+  // the response is written into `response`.
+  void transition(sgx::CallId id, bool via_ecall, const ByteBuffer& payload,
                   ByteBuffer& response);
+  // Reads a frame's route: with N >= 2 the u32 target/caller prefix,
+  // checked against the side `site_callee` lives on; with N = 1 the
+  // callee is `site_callee` itself. Returns the callee; sets `caller`.
+  SideState& read_route(SideState& site_callee, ByteReader& in,
+                        std::uint32_t& caller);
 
-  // Bridge handler body for one relay site. Writes the marshalled result
-  // into `out`. Batched dispatch passes charge_attach=false: the batch
-  // handler charges the isolate attach once for the whole frame — the
-  // cost batching exists to amortize.
-  void dispatch_relay(const RelaySite& site, ByteReader& in, ByteBuffer& out,
-                      bool charge_attach = true);
+  // Bridge handler body for one relay site.
+  void dispatch_relay(const RelaySite& site, ByteReader& in, ByteBuffer& out);
+  // Decodes and runs one relayed call on `callee` and writes the
+  // marshalled result into `out`. Batched dispatch passes
+  // charge_attach=false: the batch handler charges the isolate attach
+  // once for the whole frame — the cost batching exists to amortize.
+  void run_relay(const RelaySite& site, SideState& callee,
+                 std::uint32_t caller, ByteReader& in, ByteBuffer& out,
+                 bool charge_attach);
 
   // Callee-side body of the batch transition: bounded-decodes the frame,
   // dispatches every entry through its RelaySite (isolate attach charged
   // once), packs per-entry results/errors into the response frame.
-  void dispatch_batch(SideState& callee, ByteReader& in, ByteBuffer& out);
+  void dispatch_batch(SideState& endpoint, ByteReader& in, ByteBuffer& out);
 
-  // One enqueued-but-not-yet-dispatched batched call. The bare payload
-  // (identical bytes to the unbatched wire form) lives at
-  // [offset, offset + size) of batch_buf_.
+  // One enqueued-but-not-yet-dispatched batched call. Its single-call wire
+  // form (route prefix included) lives at [offset, offset + size) of
+  // batch_buf_.
   struct PendingCall {
     const RelayPlan* plan;
     std::shared_ptr<RmiFutureState> state;
@@ -236,13 +356,25 @@ class ProxyRuntime final : public interp::RemoteInvoker,
   // Scans `local`'s weak list; returns the hashes of collected proxies and
   // compacts the list and the proxy cache.
   std::vector<std::int64_t> collect_dead_proxies(SideState& local);
+  // Evicts the mirrors of `dead` proxies of `local` in the opposite
+  // registry — per owning isolate for untrusted proxies.
   void evict_remote(SideState& local, const std::vector<std::int64_t>& dead);
+  // Sends one eviction frame to the side holding the mirrors: an ecall
+  // ([u32 owner isolate with N >= 2] + varint n + hashes) or an ocall.
+  void send_eviction(SideState& mirrors,
+                     const std::vector<std::int64_t>& hashes);
 
   Env& env_;
   sgx::TransitionBridge& bridge_;
   Config config_;
-  SideState trusted_;
+  // Trusted isolates (deque: relay sites and closures hold stable
+  // pointers).
+  std::deque<SideState> trusted_;
   SideState untrusted_;
+  // N >= 2, derived once from the isolate count: frames carry the route
+  // prefix, eviction frames their owner id, untrusted proxies record their
+  // owning isolate, and the GC helpers do not pump before transitions.
+  const bool routed_;
   Cycles scan_period_;
   bool pumping_ = false;
   bool handlers_registered_ = false;
@@ -251,6 +383,12 @@ class ProxyRuntime final : public interp::RemoteInvoker,
   sgx::CallId gc_evict_ocall_id_ = sgx::kNoCallId;
   sgx::CallId gc_scan_ecall_id_ = sgx::kNoCallId;
   RmiStats stats_;
+  // Untrusted proxy hash -> owning trusted isolate; N >= 2 only.
+  std::unordered_map<std::int64_t, std::uint32_t> hash_owner_;
+  // Untrusted proxy hash -> enclave epoch it was minted under (or
+  // kFencedEpoch), filled at fence and restart time only, so the mint path
+  // pays nothing while it is empty.
+  std::unordered_map<std::int64_t, std::uint64_t> stale_;
   // Request/response wire buffers, reused across calls (nested chains pull
   // additional buffers; steady state allocates nothing).
   BufferArena arena_;
@@ -264,10 +402,11 @@ class ProxyRuntime final : public interp::RemoteInvoker,
   std::deque<RelaySite> relay_sites_;
   std::unordered_map<sgx::CallId, const RelaySite*> sites_by_id_;
 
-  // ---- Pending batch (one per runtime: one caller side + direction) ----
+  // ---- Pending batch (one per runtime: one caller, direction, target) ----
   std::vector<PendingCall> pending_calls_;
-  ByteBuffer batch_buf_;  // concatenated bare payloads; capacity reused
+  ByteBuffer batch_buf_;  // concatenated single-call payloads
   SideState* pending_from_ = nullptr;
+  SideState* pending_to_ = nullptr;
   bool pending_via_ecall_ = false;
   bool flushing_ = false;
   bool hook_installed_ = false;

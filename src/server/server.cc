@@ -9,7 +9,7 @@
 namespace msv::server {
 
 RequestServer::RequestServer(sched::Scheduler& sched,
-                             core::MultiIsolateApp& app, ServerConfig config)
+                             core::PartitionedApp& app, ServerConfig config)
     : env_(app.env()),
       sched_(sched),
       app_(app),
@@ -267,7 +267,7 @@ void RequestServer::execute_batch(std::uint32_t t, Tenant& ten,
     if (config_.recovery.enabled) ensure_recovered();
     const model::ClassDecl& cls =
         app_.untrusted_context().class_of(ten.state.session.as_ref());
-    std::vector<rmi::MultiIsolateRuntime::BatchCall> calls(batch.size());
+    std::vector<rmi::ProxyRuntime::BatchCall> calls(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const Pending& p = *batch[i];
       calls[i].proxy = ten.state.session.as_ref();
@@ -278,7 +278,7 @@ void RequestServer::execute_batch(std::uint32_t t, Tenant& ten,
         calls[i].stub = cls.find_method("getBalance");
       }
     }
-    const std::vector<rmi::MultiIsolateRuntime::BatchOutcome> outcomes =
+    const std::vector<rmi::ProxyRuntime::BatchOutcome> outcomes =
         app_.rmi().invoke_batch(calls);
     for (std::size_t i = 0; i < batch.size(); ++i) {
       Pending* p = batch[i];

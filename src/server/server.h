@@ -1,6 +1,6 @@
 // Multi-tenant enclave request server (serving layer, DESIGN.md §8).
 //
-// Wraps a MultiIsolateApp — one trusted isolate per tenant behind one
+// Wraps a PartitionedApp — one trusted isolate per tenant behind one
 // measured enclave — in the shape of an actual enclave service: requests
 // are admitted into bounded per-tenant queues, worker tasks (fibers on the
 // deterministic scheduler, src/sched) drain each queue and execute the
@@ -33,7 +33,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/multi_app.h"
+#include "core/app.h"
 #include "sched/scheduler.h"
 #include "server/tenant_state.h"
 #include "sgx/sealing.h"
@@ -109,7 +109,7 @@ struct ServerConfig {
   sgx::SwitchlessConfig ocall_ring;
   // Cross-boundary call coalescing (DESIGN.md §13): a worker waking to a
   // backlog drains up to this many queued requests in one swing and packs
-  // them into a single "ecall_multi_rmi_batch" transition, paying the
+  // them into a single "ecall_rmi_batch" transition, paying the
   // 13,100-cycle ecall and the isolate attach once for the batch. 1 (the
   // default) disables coalescing; the single-request path is untouched.
   std::uint32_t coalesce_max = 1;
@@ -143,7 +143,7 @@ struct ServerStats {
 
 class RequestServer {
  public:
-  RequestServer(sched::Scheduler& sched, core::MultiIsolateApp& app,
+  RequestServer(sched::Scheduler& sched, core::PartitionedApp& app,
                 ServerConfig config);
   ~RequestServer();
 
@@ -205,7 +205,7 @@ class RequestServer {
   const std::vector<std::pair<Cycles, Cycles>>& gc_windows(
       std::uint32_t t) const;
 
-  core::MultiIsolateApp& app() { return app_; }
+  core::PartitionedApp& app() { return app_; }
   sched::Scheduler& scheduler() { return sched_; }
 
  private:
@@ -273,7 +273,7 @@ class RequestServer {
 
   Env& env_;
   sched::Scheduler& sched_;
-  core::MultiIsolateApp& app_;
+  core::PartitionedApp& app_;
   ServerConfig config_;
   std::vector<std::unique_ptr<Tenant>> tenants_;
   sgx::SealingPlatform sealer_;

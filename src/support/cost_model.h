@@ -125,6 +125,11 @@ struct CostModel {
   Cycles seconds_to_cycles(double s) const {
     return static_cast<Cycles>(s * cpu_hz);
   }
+  // The isolate attach a call pays entering the callee's isolate.
+  Cycles isolate_attach_cycles(bool trusted) const {
+    return trusted ? isolate_attach_trusted_cycles
+                   : isolate_attach_untrusted_cycles;
+  }
 };
 
 }  // namespace msv

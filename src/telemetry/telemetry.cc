@@ -42,15 +42,12 @@ const std::vector<CallPrefix>& registered_call_prefixes() {
   // would fall through (transform/transformer.cc names relays, so the
   // "ecall_relay_" / "ocall_relay_" rows are the ones it leans on).
   static const std::vector<CallPrefix> kPrefixes = {
-      {"ecall_multi_gc_", Category::kGc},
-      {"ocall_multi_gc_", Category::kGc},
       {"ecall_gc_", Category::kGc},
       {"ocall_gc_", Category::kGc},
       {"ecall_relay_", Category::kRmi},
       {"ocall_relay_", Category::kRmi},
       {"ecall_rmi_batch", Category::kRmi},
       {"ocall_rmi_batch", Category::kRmi},
-      {"ecall_multi_rmi_batch", Category::kRmi},
       {"ecall_", Category::kBridge},  // ecall_main, ecall_invoke, ...
       {"ocall_", Category::kBridge},  // shim I/O relays
   };
@@ -356,8 +353,6 @@ Telemetry::Telemetry(const VirtualClock& clock)
   names_.gc_copy = tracer_.intern("gc.copy");
   names_.gc_weak = tracer_.intern("gc.weak");
   names_.gc_pause = tracer_.intern("gc.pause");
-  names_.rmi_invoke = tracer_.intern("rmi.invoke");
-  names_.rmi_construct = tracer_.intern("rmi.construct");
   names_.rmi_dispatch = tracer_.intern("rmi.dispatch");
   names_.rmi_batch = tracer_.intern("rmi.batch");
   names_.request = tracer_.intern("request");

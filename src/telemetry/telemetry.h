@@ -397,8 +397,6 @@ class Telemetry {
     std::uint32_t gc_copy = 0;
     std::uint32_t gc_weak = 0;
     std::uint32_t gc_pause = 0;
-    std::uint32_t rmi_invoke = 0;
-    std::uint32_t rmi_construct = 0;
     std::uint32_t rmi_dispatch = 0;
     std::uint32_t rmi_batch = 0;
     std::uint32_t request = 0;

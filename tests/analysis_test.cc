@@ -800,6 +800,12 @@ TEST(VerifyGate, AppConfigArmsGateAcrossRunners) {
   partitioned.run_main();  // the whole bank flow verifies and runs
   core::NativeApp native(apps::build_bank_app(), config);
   native.run_main();
+  // Every isolate of a multi-isolate enclave is armed too.
+  core::PartitionedApp tenants(apps::build_bank_app(), 2, config);
+  for (std::uint32_t i = 0; i < tenants.isolate_count(); ++i) {
+    EXPECT_TRUE(tenants.trusted_context(i).verify_bytecode()) << i;
+  }
+  EXPECT_TRUE(tenants.untrusted_context().verify_bytecode());
 }
 
 // ---- Native call-edge tracing (the MSV004 dry run) -------------------------
@@ -864,6 +870,7 @@ TEST(LintGate, LeakyAppIsRejected) {
   core::AppConfig config;
   config.lint_partition = true;
   EXPECT_THROW(core::PartitionedApp(leaky, config), ConfigError);
+  EXPECT_THROW(core::PartitionedApp(leaky, 2, config), ConfigError);
   config.lint_partition = false;
   core::PartitionedApp builds_without_gate(leaky, config);
 }

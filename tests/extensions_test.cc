@@ -3,11 +3,15 @@
 // support (future work §7).
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <utility>
+
 #include "apps/illustrative/bank.h"
 #include "apps/synthetic/generator.h"
 #include "core/montsalvat.h"
-#include "core/multi_app.h"
+#include "dsl/parser.h"
 #include "rmi/wire.h"
+#include "server/server.h"
 #include "sgx/profiler.h"
 
 namespace msv {
@@ -159,7 +163,7 @@ class MultiIsolateTest : public ::testing::Test {
  protected:
   MultiIsolateTest() : app_(apps::build_bank_app(), 3) {}
 
-  core::MultiIsolateApp app_;
+  core::PartitionedApp app_;
 };
 
 TEST_F(MultiIsolateTest, ProxiesBindToTheirIsolate) {
@@ -171,9 +175,9 @@ TEST_F(MultiIsolateTest, ProxiesBindToTheirIsolate) {
   const Value a2 = app_.construct_in(
       2, "Account", {Value("tenant2"), Value(std::int32_t{30})});
 
-  EXPECT_EQ(app_.rmi().trusted_registry(0).size(), 1u);
-  EXPECT_EQ(app_.rmi().trusted_registry(1).size(), 1u);
-  EXPECT_EQ(app_.rmi().trusted_registry(2).size(), 1u);
+  EXPECT_EQ(app_.rmi().registry(Side::kTrusted, 0).size(), 1u);
+  EXPECT_EQ(app_.rmi().registry(Side::kTrusted, 1).size(), 1u);
+  EXPECT_EQ(app_.rmi().registry(Side::kTrusted, 2).size(), 1u);
 
   u.invoke(a1.as_ref(), "updateBalance", {Value(std::int32_t{5})});
   EXPECT_EQ(u.invoke(a0.as_ref(), "getBalance", {}).as_i32(), 10);
@@ -209,12 +213,12 @@ TEST_F(MultiIsolateTest, HeapsAreIndependent) {
 TEST_F(MultiIsolateTest, PlainNewTargetsIsolateZero) {
   auto& u = app_.untrusted_context();
   const Value p = u.construct("Account", {Value("x"), Value(std::int32_t{7})});
-  EXPECT_EQ(app_.rmi().trusted_registry(0).size(), 1u);
+  EXPECT_EQ(app_.rmi().registry(Side::kTrusted, 0).size(), 1u);
   EXPECT_EQ(u.invoke(p.as_ref(), "getBalance", {}).as_i32(), 7);
 }
 
 TEST_F(MultiIsolateTest, DefaultIsolateCountValidated) {
-  EXPECT_THROW(core::MultiIsolateApp(apps::build_bank_app(), 0), Error);
+  EXPECT_THROW(core::PartitionedApp(apps::build_bank_app(), 0), Error);
   EXPECT_THROW(app_.construct_in(9, "Account", {}), RuntimeFault);
   EXPECT_THROW(app_.trusted_context(9), RuntimeFault);
 }
@@ -247,9 +251,10 @@ TEST_F(MultiIsolateTest, GcEvictionRoutedPerIsolate) {
 
   u.isolate().heap().collect();
   app_.rmi().force_gc_scan();
-  EXPECT_EQ(app_.rmi().trusted_registry(0).size(), 0u);
-  EXPECT_EQ(app_.rmi().trusted_registry(1).size(), 1u) << "keeper survives";
-  EXPECT_EQ(app_.rmi().trusted_registry(2).size(), 0u);
+  EXPECT_EQ(app_.rmi().registry(Side::kTrusted, 0).size(), 0u);
+  EXPECT_EQ(app_.rmi().registry(Side::kTrusted, 1).size(), 1u)
+      << "keeper survives";
+  EXPECT_EQ(app_.rmi().registry(Side::kTrusted, 2).size(), 0u);
   EXPECT_EQ(u.invoke(keeper.as_ref(), "getBalance", {}).as_i32(), 42);
 }
 
@@ -258,8 +263,8 @@ TEST_F(MultiIsolateTest, TrustedToUntrustedDirectionWorksPerIsolate) {
   // untrusted Logger through the shared untrusted runtime.
   core::AppConfig config;
   config.extra_entry_points = {{"Vault", model::kConstructorName}};
-  core::MultiIsolateApp app(apps::build_bank_app(/*with_audit=*/true), 2,
-                            config);
+  core::PartitionedApp app(apps::build_bank_app(/*with_audit=*/true), 2,
+                           config);
   auto& u = app.untrusted_context();
   const Value v0 = app.construct_in(0, "Vault", {});
   const Value v1 = app.construct_in(1, "Vault", {});
@@ -268,8 +273,134 @@ TEST_F(MultiIsolateTest, TrustedToUntrustedDirectionWorksPerIsolate) {
   u.invoke(v1.as_ref(), "audit", {Value("c")});
   EXPECT_EQ(u.invoke(v0.as_ref(), "auditCount", {}).as_i32(), 1);
   EXPECT_EQ(u.invoke(v1.as_ref(), "auditCount", {}).as_i32(), 2);
-  EXPECT_EQ(app.rmi().untrusted_registry().size(), 2u)
+  EXPECT_EQ(app.rmi().registry(Side::kUntrusted).size(), 2u)
       << "one Logger mirror per Vault";
+}
+
+TEST(MultiIsolateGc, ProxyMaterializedTwiceBeforeAScanIsEvictedOnce) {
+  // A trusted Item handed out twice: its first untrusted proxy dies, the
+  // second is materialized under the same hash before any scan and dies
+  // too, so one scan sees the hash twice.
+  core::AppConfig config;
+  config.extra_entry_points = {{"Factory", model::kConstructorName},
+                               {"Item", "value"}};
+  core::PartitionedApp app(dsl::parse_program(R"(
+    class Item @Trusted {
+      field n;
+      ctor() { this.n = 1; }
+      method value() { return this.n; }
+    }
+    class Factory @Trusted {
+      field item;
+      ctor() { this.item = new Item(); }
+      method get() { return this.item; }
+    }
+    class Main @Untrusted {
+      static method main() { f = new Factory(); f.get().value(); }
+    }
+    main Main;
+  )"), 2, config);
+  auto& u = app.untrusted_context();
+  const Value factory = app.construct_in(1, "Factory", {});
+  for (int i = 0; i < 2; ++i) {
+    {
+      const Value item = u.invoke(factory.as_ref(), "get", {});
+      EXPECT_EQ(u.invoke(item.as_ref(), "value", {}).as_i32(), 1);
+    }
+    u.isolate().heap().collect();  // the proxy dies; no scan runs at N = 2
+  }
+  EXPECT_EQ(app.rmi().registry(Side::kTrusted, 1).size(), 2u);
+  app.rmi().force_gc_scan();
+  EXPECT_EQ(app.rmi().registry(Side::kTrusted, 1).size(), 1u)
+      << "the Item mirror is evicted; the Factory mirror stays";
+}
+
+// The serving stack's app class and its RMI runtime, named through
+// RequestServer::app() so the pin below guards exactly what the serving
+// and fleet stacks run.
+using ServingApp = std::remove_reference_t<
+    decltype(std::declval<server::RequestServer&>().app())>;
+using ServingRmi =
+    std::remove_reference_t<decltype(std::declval<ServingApp&>().rmi())>;
+
+TEST(TwoIsolateRmi, MixedCallSequenceChargesPinnedCycles) {
+  // End-to-end pin of the N >= 2 RMI path, the counterpart of
+  // ProxyRuntimeTest.MixedCallSequenceChargesPinnedCycles: routed
+  // construction on two isolates, primitive and non-primitive relays in
+  // both directions, a coalesced batch and a per-isolate collection must
+  // land on exactly these clocks and transition stats.
+  core::AppConfig config;
+  config.extra_entry_points = {{"Vault", model::kConstructorName}};
+  ServingApp app(apps::build_bank_app(/*with_audit=*/true), 2, config);
+  auto& u = app.untrusted_context();
+  const Value a0 = app.construct_in(
+      0, "Account", {Value("t0"), Value(std::int32_t{10})});
+  const Value v1 = app.construct_in(1, "Vault", {});
+  u.invoke(a0.as_ref(), "updateBalance", {Value(std::int32_t{5})});
+  EXPECT_EQ(u.invoke(v1.as_ref(), "auditCount", {}).as_i32(), 0);
+  const Value reg0 = app.construct_in(0, "AccountRegistry", {});
+  u.invoke(reg0.as_ref(), "addAccount", {a0});
+  u.invoke(v1.as_ref(), "audit", {Value("entry")});
+
+  std::vector<ServingRmi::BatchCall> calls(3);
+  const model::ClassDecl& account = u.class_of(a0.as_ref());
+  calls[0].proxy = a0.as_ref();
+  calls[0].stub = account.find_method("updateBalance");
+  calls[0].args = {Value(std::int32_t{7})};
+  calls[1].proxy = a0.as_ref();
+  calls[1].stub = account.find_method("getBalance");
+  calls[2].proxy = reg0.as_ref();
+  calls[2].stub = u.class_of(reg0.as_ref()).find_method("totalBalance");
+  const auto outcomes = app.rmi().invoke_batch(calls);
+  ASSERT_EQ(outcomes.size(), 3u);
+  EXPECT_TRUE(outcomes[0].ok && outcomes[1].ok && outcomes[2].ok);
+  EXPECT_EQ(outcomes[1].value.as_i32(), 22);
+  EXPECT_EQ(outcomes[2].value.as_i32(), 22);
+  app.collect_isolate(1);
+
+  EXPECT_EQ(app.env().clock.now(), 38'357'526u);
+  // Three constructions, four relayed calls and one batch in; the Logger
+  // construction, lineCount and log relays out.
+  const sgx::BridgeStats& bridge = app.bridge().stats();
+  EXPECT_EQ(bridge.ecalls, 8u);
+  EXPECT_EQ(bridge.ocalls, 3u);
+  EXPECT_EQ(bridge.bytes_in, 203u);
+  EXPECT_EQ(bridge.bytes_out, 94u);
+}
+
+// One relayed call into isolate 1 served by the switchless ecall ring;
+// returns its cycle cost under the given trusted isolate-attach charge.
+Cycles ring_relay_cost(Cycles trusted_attach) {
+  core::AppConfig config;
+  config.cost.isolate_attach_trusted_cycles = trusted_attach;
+  core::PartitionedApp app(apps::build_bank_app(), 2, config);
+  const Value account = app.construct_in(
+      1, "Account", {Value("t1"), Value(std::int32_t{5})});
+  sgx::TransitionBridge& bridge = app.bridge();
+  sched::Scheduler sched(app.env());
+  bridge.attach_scheduler(sched);
+  bridge.set_switchless("ecall_relay_Account_getBalance", true);
+  bridge.start_switchless_workers({}, {});
+  Cycles cost = 0;
+  sched.spawn("caller", [&] {
+    const Cycles t0 = app.env().clock.now();
+    EXPECT_EQ(app.untrusted_context()
+                  .invoke(account.as_ref(), "getBalance", {})
+                  .as_i32(),
+              5);
+    cost = app.env().clock.now() - t0;
+  });
+  sched.run();
+  EXPECT_EQ(bridge.stats().switchless_enqueued, 1u);
+  bridge.stop_switchless_workers();
+  return cost;
+}
+
+TEST(TwoIsolateRmi, RingServedRelayChargesNoIsolateAttach) {
+  // Ring workers are persistent threads that attach to their isolate once
+  // (§7, HotCalls), so a relay they serve pays no per-call attach — with
+  // any number of trusted isolates.
+  EXPECT_EQ(ring_relay_cost(480'000), ring_relay_cost(0));
 }
 
 // ---- Multi-isolate wire guards at the trust boundary ----------------------
@@ -357,7 +488,7 @@ class MultiIsolateWireTest : public ::testing::Test {
     return "";
   }
 
-  core::MultiIsolateApp app_;
+  core::PartitionedApp app_;
   Value sink_;
 };
 

@@ -8,11 +8,11 @@
 #include <vector>
 
 #include "apps/illustrative/bank.h"
-#include "core/multi_app.h"
+#include "core/app.h"
 #include "faults/injector.h"
 #include "faults/plan.h"
 #include "fleet/router.h"
-#include "rmi/multi_isolate.h"
+#include "rmi/proxy_runtime.h"
 #include "sched/scheduler.h"
 #include "server/server.h"
 #include "sgx/enclave.h"
@@ -283,7 +283,7 @@ TEST_F(FaultInjectorTest, FutureEventsAreNotFiredEarly) {
 // ---- Enclave loss, restart and epoch fencing -------------------------------
 
 TEST(EnclaveRecoveryTest, LostEnclaveFaultsEveryEcallUntilRestart) {
-  core::MultiIsolateApp app(apps::build_bank_app(), 1, {});
+  core::PartitionedApp app(apps::build_bank_app(), 1, {});
   const rt::Value session =
       app.construct_in(0, "Account", {rt::Value("a"), rt::Value(5)});
   EXPECT_EQ(
@@ -320,7 +320,7 @@ TEST(EnclaveRecoveryTest, LostEnclaveFaultsEveryEcallUntilRestart) {
 TEST(EnclaveRecoveryTest, SealedBlobSurvivesRestart) {
   // Same image => same measurement => same sealing key: a checkpoint
   // sealed before the loss unseals after the restart.
-  core::MultiIsolateApp app(apps::build_bank_app(), 1, {});
+  core::PartitionedApp app(apps::build_bank_app(), 1, {});
   sgx::SealingPlatform sealer("fuse");
   const std::vector<std::uint8_t> secret = {1, 2, 3, 4};
   const sgx::SealedBlob blob = sealer.seal(app.enclave(), secret, 99);
@@ -352,7 +352,7 @@ server::Request read_balance() {
 }
 
 TEST(ServerRecoveryTest, RestartRestoresSealedCheckpoints) {
-  core::MultiIsolateApp app(apps::build_bank_app(), 2, {});
+  core::PartitionedApp app(apps::build_bank_app(), 2, {});
   sched::Scheduler sched(app.env());
   server::RequestServer srv(sched, app, recovery_config(2));
   srv.start();
@@ -386,7 +386,7 @@ TEST(ServerRecoveryTest, RestartRestoresSealedCheckpoints) {
 }
 
 TEST(ServerRecoveryTest, DepositsSinceLastCheckpointAreLost) {
-  core::MultiIsolateApp app(apps::build_bank_app(), 1, {});
+  core::PartitionedApp app(apps::build_bank_app(), 1, {});
   sched::Scheduler sched(app.env());
   server::RequestServer srv(sched, app, recovery_config(2));
   srv.start();
@@ -407,7 +407,7 @@ TEST(ServerRecoveryTest, DepositsSinceLastCheckpointAreLost) {
 }
 
 TEST(ServerRecoveryTest, RetryAbsorbsTransientTransitionFailures) {
-  core::MultiIsolateApp app(apps::build_bank_app(), 1, {});
+  core::PartitionedApp app(apps::build_bank_app(), 1, {});
   sched::Scheduler sched(app.env());
   server::RequestServer srv(sched, app, recovery_config(0));
   srv.start();
@@ -436,7 +436,7 @@ TEST(ServerRecoveryTest, RetryAbsorbsTransientTransitionFailures) {
 }
 
 TEST(ServerRecoveryTest, RetryBudgetExhaustionFailsTheRequest) {
-  core::MultiIsolateApp app(apps::build_bank_app(), 1, {});
+  core::PartitionedApp app(apps::build_bank_app(), 1, {});
   sched::Scheduler sched(app.env());
   server::ServerConfig cfg = recovery_config(0);
   cfg.recovery.max_attempts = 3;
@@ -465,7 +465,7 @@ TEST(ServerRecoveryTest, RetryBudgetExhaustionFailsTheRequest) {
 }
 
 TEST(ServerRecoveryTest, CorruptCheckpointIsRejectedAndFallsBack) {
-  core::MultiIsolateApp app(apps::build_bank_app(), 1, {});
+  core::PartitionedApp app(apps::build_bank_app(), 1, {});
   sched::Scheduler sched(app.env());
   server::RequestServer srv(sched, app, recovery_config(2));
 

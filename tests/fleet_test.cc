@@ -10,12 +10,12 @@
 #include <vector>
 
 #include "apps/illustrative/bank.h"
-#include "core/multi_app.h"
+#include "core/app.h"
 #include "fleet/load.h"
 #include "fleet/ring.h"
 #include "fleet/router.h"
 #include "fleet/shard.h"
-#include "rmi/multi_isolate.h"
+#include "rmi/proxy_runtime.h"
 #include "sched/scheduler.h"
 #include "server/tenant_state.h"
 #include "sim/env.h"
@@ -155,7 +155,7 @@ FleetConfig small_fleet(bool replication) {
 // ---- Replica promotion -----------------------------------------------------
 
 TEST(FleetShardTest, FenceProxiesMakesEveryMintedProxyStale) {
-  core::MultiIsolateApp app(apps::build_bank_app(), 1);
+  core::PartitionedApp app(apps::build_bank_app(), 1);
   const rt::Value session = app.construct_in(
       0, "Account", {rt::Value("t"), rt::Value(10)});
   EXPECT_EQ(app.untrusted_context()

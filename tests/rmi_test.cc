@@ -701,6 +701,33 @@ TEST(ProxyRuntimeTest, AsyncBatchingPipelinesAndFlushesOnce) {
   EXPECT_EQ(app.bridge().stats().ecalls - ecalls_before, 1u);
 }
 
+TEST(ProxyRuntimeTest, AsyncBatchFlushesWhenTheTargetIsolateChanges) {
+  // With two trusted isolates a frame is routed to one of them: two calls
+  // to isolate 0 share a frame, and the call to isolate 1 starts another.
+  core::PartitionedApp app(apps::synthetic::build_micro_app(), 2);
+  auto& u = app.untrusted_context();
+  const Value w0 = app.construct_in(0, "Worker", {});
+  const Value w1 = app.construct_in(1, "Worker", {});
+  auto& rmi = app.rmi();
+  rmi.set_batching(true);
+  const model::ClassDecl& cls = u.class_of(w0.as_ref());
+  const model::MethodDecl& set = *cls.find_method("set");
+  const RmiStats before = rmi.stats();
+
+  std::vector<RmiFuture> futures;
+  for (const auto& [w, v] : {std::pair{w0, 1}, {w0, 2}, {w1, 3}}) {
+    std::vector<Value> args{Value(std::int32_t{v})};
+    futures.push_back(rmi.invoke_proxy_async(u, w.as_ref(), cls, set, args));
+  }
+  EXPECT_TRUE(futures[0].ready() && futures[1].ready());
+  EXPECT_EQ(rmi.pending_batch_calls(), 1u);
+  rmi.flush_batches();
+  EXPECT_EQ(rmi.stats().batch_flushes - before.batch_flushes, 2u);
+  EXPECT_EQ(rmi.stats().batched_calls - before.batched_calls, 3u);
+  EXPECT_EQ(u.invoke(w0.as_ref(), "get", {}).as_i32(), 2);
+  EXPECT_EQ(u.invoke(w1.as_ref(), "get", {}).as_i32(), 3);
+}
+
 TEST(ProxyRuntimeTest, SyncCallAndNonPrimitiveArgsFlushPendingBatch) {
   core::PartitionedApp app(apps::synthetic::build_micro_app());
   auto& u = app.untrusted_context();

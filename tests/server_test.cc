@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "apps/illustrative/bank.h"
-#include "core/multi_app.h"
+#include "core/app.h"
 #include "sched/scheduler.h"
 #include "server/harness.h"
 #include "server/server.h"
@@ -377,7 +377,7 @@ struct ServerRig {
 
   // Declaration order is the documented destruction contract: the server
   // stops (and the scheduler cancels) before the app's bridge dies.
-  core::MultiIsolateApp app;
+  core::PartitionedApp app;
   sched::Scheduler sched;
   server::RequestServer srv;
 };

@@ -9,7 +9,6 @@
 #include "apps/illustrative/bank.h"
 #include "apps/synthetic/generator.h"
 #include "core/montsalvat.h"
-#include "core/multi_app.h"
 #include "sched/scheduler.h"
 #include "server/server.h"
 #include "sgx/bridge.h"
@@ -299,8 +298,8 @@ TEST(TelemetryRmi, InvocationRendersAsOneCausalTree) {
 std::string traced_server_run(std::string* ascii_out) {
   core::AppConfig cfg;
   cfg.trace.mode = TraceMode::kFull;
-  core::MultiIsolateApp app(apps::build_bank_app(), /*trusted_isolates=*/2,
-                            cfg);
+  core::PartitionedApp app(apps::build_bank_app(), /*trusted_isolates=*/2,
+                           cfg);
   sched::Scheduler sched(app.env());
   server::RequestServer srv(sched, app, {});
   srv.start();
@@ -352,7 +351,7 @@ TEST(TelemetryDeterminism, TwoSeededRunsEmitByteIdenticalTraceJson) {
 }
 
 TEST(TelemetryDeterminism, TelemetryOffRecordsNothing) {
-  core::MultiIsolateApp app(apps::build_bank_app(), 1);
+  core::PartitionedApp app(apps::build_bank_app(), 1);
   sched::Scheduler sched(app.env());
   server::RequestServer srv(sched, app, {});
   srv.start();

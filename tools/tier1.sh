@@ -19,6 +19,12 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j
 "$BUILD_DIR"/bench/abl_rmi_fastpath --smoke > /dev/null
 "$BUILD_DIR"/bench/abl_switchless --smoke > /dev/null
 
+# The examples run end to end; each exits non-zero when a property it
+# demonstrates (tenant isolation, sealing, attestation) breaks.
+for example in "$BUILD_DIR"/examples/example_*; do
+  "$example" > /dev/null
+done
+
 # Batched-RMI smoke (DESIGN.md §13): aborts unless batch width 1 is
 # cycle-identical to the unbatched path and width >= 16 clears the 5x
 # amortization gate.
@@ -109,4 +115,4 @@ python3 tools/test_bench_diff.py > /dev/null
   --metrics-out="$BUILD_DIR"/fig_server_metrics.txt > /dev/null
 tools/check_trace.py "$BUILD_DIR"/fig_server_trace.json
 
-echo "tier1: tests + ablations + batched-rmi + fault-storm + msvlint + partition-optimizer + telemetry-trace + health/bench-diff + stress smoke OK"
+echo "tier1: tests + ablations + examples + batched-rmi + fault-storm + msvlint + partition-optimizer + telemetry-trace + health/bench-diff + stress smoke OK"
