@@ -43,19 +43,6 @@ void add_gc_edl_entries(sgx::EdlSpec& edl) {
   edl.add_ocall(std::move(evict_out));
 }
 
-// The final SGX-module link (§5.4): the enclave blob is the trusted image
-// plus the shim plus the generated trusted bridge routines; its SHA-256 is
-// MRENCLAVE.
-Sha256::Digest measure_enclave_blob(const xform::NativeImage& trusted,
-                                    const sgx::EdgeRoutines& edge) {
-  Sha256 h;
-  const ByteBuffer image_bytes = trusted.serialize();
-  h.update(image_bytes.data(), image_bytes.size());
-  h.update("montsalvat-shim-v1");
-  h.update(edge.trusted_source);
-  return h.finish();
-}
-
 // Agent mode: every public method of every class is a root.
 std::vector<xform::MethodRef> all_public_methods(const model::AppModel& set) {
   std::vector<xform::MethodRef> eps;
@@ -93,6 +80,16 @@ std::vector<xform::MethodRef> image_entry_points(
 }
 
 }  // namespace
+
+Sha256::Digest measure_enclave_blob(const xform::NativeImage& trusted,
+                                    const sgx::EdgeRoutines& edge) {
+  Sha256 h;
+  const ByteBuffer image_bytes = trusted.serialize();
+  h.update(image_bytes.data(), image_bytes.size());
+  h.update("montsalvat-shim-v1");
+  h.update(edge.trusted_source);
+  return h.finish();
+}
 
 PartitionedApp::PartitionedApp(const model::AppModel& app, AppConfig config,
                                interp::IntrinsicTable intrinsics)

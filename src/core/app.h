@@ -29,6 +29,7 @@
 #include "shim/host_io.h"
 #include "sim/domain.h"
 #include "sim/env.h"
+#include "support/sha256.h"
 #include "transform/image_builder.h"
 #include "transform/transformer.h"
 
@@ -91,6 +92,12 @@ struct TcbReport {
     return app_code_bytes + runtime_code_bytes + shim_bytes + image_heap_bytes;
   }
 };
+
+// MRENCLAVE, the one measurement rule (§5.4): the final SGX-module link
+// makes the enclave blob from the trusted image, the shim and the
+// generated trusted bridge routines, and the blob's SHA-256 is MRENCLAVE.
+Sha256::Digest measure_enclave_blob(const xform::NativeImage& trusted,
+                                    const sgx::EdgeRoutines& edge);
 
 class PartitionedApp {
  public:

@@ -9,6 +9,7 @@ EpcModel::EpcModel(Env& env)
       capacity_pages_(env.cost.epc_usable_bytes / env.cost.page_bytes),
       limit_pages_(capacity_pages_) {
   MSV_CHECK_MSG(capacity_pages_ > 0, "EPC capacity must be at least a page");
+  MSV_CHECK_MSG(capacity_pages_ < kNoFrame, "EPC capacity out of range");
 }
 
 EpcModel::Key EpcModel::make_key(std::uint64_t region, std::uint64_t page) {
@@ -19,20 +20,57 @@ EpcModel::Key EpcModel::make_key(std::uint64_t region, std::uint64_t page) {
   return (region << 40) | page;
 }
 
+std::uint32_t& EpcModel::slot_for(Key key) {
+  const Key chunk_key = key >> kChunkShift;
+  if (chunk_key != last_chunk_key_) {
+    std::unique_ptr<Chunk>& chunk = chunks_[chunk_key];
+    if (chunk == nullptr) {
+      chunk = std::make_unique<Chunk>();
+      chunk->fill(kNoFrame);
+    }
+    last_chunk_key_ = chunk_key;
+    last_chunk_ = chunk.get();
+  }
+  return (*last_chunk_)[key & ((Key{1} << kChunkShift) - 1)];
+}
+
+void EpcModel::unlink(std::uint32_t f) {
+  Frame& frame = frames_[f];
+  (frame.prev == kNoFrame ? mru_frame_ : frames_[frame.prev].next) =
+      frame.next;
+  (frame.next == kNoFrame ? lru_frame_ : frames_[frame.next].prev) =
+      frame.prev;
+}
+
+void EpcModel::link_front(std::uint32_t f) {
+  Frame& frame = frames_[f];
+  frame.prev = kNoFrame;
+  frame.next = mru_frame_;
+  (mru_frame_ == kNoFrame ? lru_frame_ : frames_[mru_frame_].prev) = f;
+  mru_frame_ = f;
+}
+
+void EpcModel::free_frame(std::uint32_t f) {
+  unlink(f);
+  *frames_[f].slot = kNoFrame;
+  frames_[f].next = free_;
+  free_ = f;
+  --resident_;
+}
+
 void EpcModel::drain_to_capacity(std::uint64_t headroom) {
   // Each excess page charges its page-out exactly once, here: the lazy
   // eviction promised by set_reserved_pages / set_limit. With the
   // resident set within capacity this loop is a no-op, so the
   // no-pressure path stays byte-identical to the pre-limit model.
   const std::uint64_t cap = effective_capacity_pages();
-  while (lru_.size() + headroom > cap) {
+  while (resident_ + headroom > cap) {
     ++stats_.evictions;
     telemetry::SpanScope span(env_.telemetry.tracer(),
                               telemetry::Category::kEpc,
                               env_.telemetry.names().epc_page_out);
     env_.clock.advance(env_.cost.epc_page_out_cycles);
-    index_.erase(lru_.back());
-    lru_.pop_back();
+    free_frame(lru_frame_);
   }
 }
 
@@ -45,9 +83,12 @@ void EpcModel::access(std::uint64_t region, std::uint64_t page) {
   // left the resident count physically over capacity indefinitely.
   drain_to_capacity(0);
   const Key key = make_key(region, page);
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
+  std::uint32_t& slot = slot_for(key);
+  if (slot != kNoFrame) {
+    if (slot != mru_frame_) {
+      unlink(slot);
+      link_front(slot);
+    }
     return;
   }
   // Miss: the driver pages the frame in, evicting the LRU page if full.
@@ -61,14 +102,28 @@ void EpcModel::access(std::uint64_t region, std::uint64_t page) {
   // Make room for the incoming page (at most one eviction here — the
   // pre-access drain already clamped the set to capacity).
   drain_to_capacity(1);
-  lru_.push_front(key);
-  index_[key] = lru_.begin();
+  std::uint32_t f = free_;
+  if (f != kNoFrame) {
+    free_ = frames_[f].next;
+  } else {
+    f = static_cast<std::uint32_t>(frames_.size());
+    frames_.emplace_back();
+  }
+  frames_[f].key = key;
+  frames_[f].slot = &slot;
+  link_front(f);
+  slot = f;
+  ++resident_;
 }
 
 void EpcModel::invalidate_all() {
-  stats_.invalidated += lru_.size();
-  index_.clear();
-  lru_.clear();
+  stats_.invalidated += resident_;
+  for (std::uint32_t f = mru_frame_; f != kNoFrame; f = frames_[f].next) {
+    *frames_[f].slot = kNoFrame;
+  }
+  frames_.clear();
+  mru_frame_ = lru_frame_ = free_ = kNoFrame;
+  resident_ = 0;
 }
 
 void EpcModel::set_reserved_pages(std::uint64_t n) {
@@ -83,14 +138,13 @@ void EpcModel::set_limit(std::uint64_t pages) {
 }
 
 void EpcModel::release_region(std::uint64_t region) {
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if ((*it >> 40) == region) {
-      index_.erase(*it);
-      it = lru_.erase(it);
+  for (std::uint32_t f = mru_frame_; f != kNoFrame;) {
+    const std::uint32_t next = frames_[f].next;
+    if ((frames_[f].key >> 40) == region) {
+      free_frame(f);
       ++stats_.released;
-    } else {
-      ++it;
     }
+    f = next;
   }
 }
 

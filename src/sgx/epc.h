@@ -8,9 +8,11 @@
 // and page-out costs to the virtual clock on misses and evictions.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <list>
+#include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "sim/env.h"
 
@@ -64,7 +66,7 @@ class EpcModel {
     const std::uint64_t share = capacity_pages_ - reserved_pages_;
     return share < limit_pages_ ? share : limit_pages_;
   }
-  std::uint64_t resident_pages() const { return lru_.size(); }
+  std::uint64_t resident_pages() const { return resident_; }
   const EpcStats& stats() const { return stats_; }
 
   // Page-count conservation: every fault brought one page in, and every
@@ -74,12 +76,37 @@ class EpcModel {
   // eviction was double-charged or skipped.
   bool stats_reconcile() const {
     return stats_.faults == stats_.evictions + stats_.released +
-                                stats_.invalidated + lru_.size();
+                                stats_.invalidated + resident_;
   }
 
  private:
   using Key = std::uint64_t;  // (region << 40) | page
   static Key make_key(std::uint64_t region, std::uint64_t page);
+
+  // The page table is two-level: Key >> kChunkShift names a chunk of
+  // 512 frame indices, so a run of pages in one region costs one
+  // directory lookup per chunk, and a sparse key costs one 2 KiB chunk.
+  // Chunks are allocated one by one and never move, so a slot pointer
+  // stays valid while other chunks are added.
+  static constexpr unsigned kChunkShift = 9;
+  static constexpr std::uint32_t kNoFrame = ~std::uint32_t{0};
+  using Chunk = std::array<std::uint32_t, std::size_t{1} << kChunkShift>;
+
+  // A resident page: its key, its page-table slot, and its links in the
+  // LRU list (prev toward the MRU end). A free frame chains through next.
+  struct Frame {
+    Key key = 0;
+    std::uint32_t* slot = nullptr;
+    std::uint32_t prev = kNoFrame;
+    std::uint32_t next = kNoFrame;
+  };
+
+  // The page-table slot of `key`, allocating its chunk on first use.
+  std::uint32_t& slot_for(Key key);
+  void unlink(std::uint32_t f);
+  void link_front(std::uint32_t f);
+  // Unlinks frame `f`, clears its slot and puts it on the free list.
+  void free_frame(std::uint32_t f);
 
   // Evicts LRU pages until the resident set fits the effective capacity
   // (strictly, or leaving `headroom` free frames), charging page-out per
@@ -90,9 +117,18 @@ class EpcModel {
   std::uint64_t capacity_pages_;
   std::uint64_t reserved_pages_ = 0;
   std::uint64_t limit_pages_;
-  // Most-recently-used at the front.
-  std::list<Key> lru_;
-  std::unordered_map<Key, std::list<Key>::iterator> index_;
+  // The frames handed out since construction or invalidate_all. Free ones
+  // are recycled before the vector grows, so it never holds more than
+  // capacity_pages_ frames.
+  std::vector<Frame> frames_;
+  std::uint32_t mru_frame_ = kNoFrame;
+  std::uint32_t lru_frame_ = kNoFrame;
+  std::uint32_t free_ = kNoFrame;
+  std::uint64_t resident_ = 0;
+  std::unordered_map<Key, std::unique_ptr<Chunk>> chunks_;
+  // The chunk of the last lookup: sequential touches skip the directory.
+  Key last_chunk_key_ = ~Key{0};
+  Chunk* last_chunk_ = nullptr;
   EpcStats stats_;
 };
 

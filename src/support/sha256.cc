@@ -1,8 +1,14 @@
 #include "support/sha256.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "support/error.h"
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace msv {
 namespace {
@@ -24,50 +30,7 @@ std::uint32_t rotr(std::uint32_t x, std::uint32_t n) {
   return (x >> n) | (x << (32 - n));
 }
 
-}  // namespace
-
-Sha256::Sha256()
-    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
-
-void Sha256::update(const void* data, std::size_t len) {
-  MSV_CHECK_MSG(!finished_, "Sha256::update after finish");
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  total_len_ += len;
-  while (len > 0) {
-    const std::size_t take = std::min(len, buffer_.size() - buffer_len_);
-    std::memcpy(buffer_.data() + buffer_len_, p, take);
-    buffer_len_ += take;
-    p += take;
-    len -= take;
-    if (buffer_len_ == buffer_.size()) {
-      process_block(buffer_.data());
-      buffer_len_ = 0;
-    }
-  }
-}
-
-Sha256::Digest Sha256::finish() {
-  MSV_CHECK_MSG(!finished_, "Sha256::finish called twice");
-  const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(&pad, 1);
-  const std::uint8_t zero = 0;
-  while (buffer_len_ != 56) update(&zero, 1);
-  for (int i = 7; i >= 0; --i) {
-    buffer_[56 + (7 - i)] = static_cast<std::uint8_t>(bit_len >> (8 * i));
-  }
-  process_block(buffer_.data());
-  finished_ = true;
-
-  Digest d;
-  for (int i = 0; i < 8; ++i)
-    for (int j = 0; j < 4; ++j)
-      d[i * 4 + j] = static_cast<std::uint8_t>(state_[i] >> (8 * (3 - j)));
-  return d;
-}
-
-void Sha256::process_block(const std::uint8_t* block) {
+void process_block(Sha256::State& state, const std::uint8_t* block) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = static_cast<std::uint32_t>(block[i * 4]) << 24 |
@@ -82,8 +45,8 @@ void Sha256::process_block(const std::uint8_t* block) {
         rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
     const std::uint32_t ch = (e & f) ^ (~e & g);
@@ -100,14 +63,187 @@ void Sha256::process_block(const std::uint8_t* block) {
     b = a;
     a = t1 + t2;
   }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+void compress_portable(Sha256::State& state, const std::uint8_t* data,
+                       std::size_t blocks) {
+  for (std::size_t i = 0; i < blocks; ++i) process_block(state, data + 64 * i);
+}
+
+#if defined(__x86_64__)
+#define MSV_SHA_NI __attribute__((target("sha,sse4.1")))
+
+// SHA256RNDS2 runs two rounds on the state split as (A,B,E,F) and
+// (C,D,G,H); four rounds take the message words W[4g..4g+3] plus K.
+MSV_SHA_NI inline void rounds4(__m128i& abef, __m128i& cdgh, __m128i w,
+                               int g) {
+  const __m128i wk = _mm_add_epi32(
+      w, _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kK[4 * g])));
+  cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+  abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+}
+
+// The next four schedule words from the previous twelve: `w4` holds
+// W[t-16..t-13] already passed through SHA256MSG1, `w8` W[t-8..t-5] and
+// `w12` W[t-4..t-1].
+MSV_SHA_NI inline __m128i schedule(__m128i w4, __m128i w8, __m128i w12) {
+  return _mm_sha256msg2_epu32(
+      _mm_add_epi32(w4, _mm_alignr_epi8(w12, w8, 4)), w12);
+}
+
+// Four big-endian message words.
+MSV_SHA_NI inline __m128i load_words(const std::uint8_t* p) {
+  return _mm_shuffle_epi8(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)),
+      _mm_set_epi64x(0x0c0d0e0f08090a0bll, 0x0405060700010203ll));
+}
+
+MSV_SHA_NI void compress_sha_ni(Sha256::State& state,
+                                const std::uint8_t* data, std::size_t blocks) {
+  // Lane names run from the high lane to the low one.
+  const __m128i cdab = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state.data())), 0xb1);
+  const __m128i efgh = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state.data() + 4)),
+      0x1b);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i m0 = load_words(data);
+    __m128i m1 = load_words(data + 16);
+    __m128i m2 = load_words(data + 32);
+    __m128i m3 = load_words(data + 48);
+    rounds4(abef, cdgh, m0, 0);
+    rounds4(abef, cdgh, m1, 1);
+    m0 = _mm_sha256msg1_epu32(m0, m1);
+    rounds4(abef, cdgh, m2, 2);
+    m1 = _mm_sha256msg1_epu32(m1, m2);
+    rounds4(abef, cdgh, m3, 3);
+    m0 = schedule(m0, m2, m3);
+    m2 = _mm_sha256msg1_epu32(m2, m3);
+    // Rounds 16-63. The last group computes a few schedule words no round
+    // reads; that is cheaper than a separate tail.
+    for (int g = 4; g < 16; g += 4) {
+      rounds4(abef, cdgh, m0, g);
+      m1 = schedule(m1, m3, m0);
+      m3 = _mm_sha256msg1_epu32(m3, m0);
+      rounds4(abef, cdgh, m1, g + 1);
+      m2 = schedule(m2, m0, m1);
+      m0 = _mm_sha256msg1_epu32(m0, m1);
+      rounds4(abef, cdgh, m2, g + 2);
+      m3 = schedule(m3, m1, m2);
+      m1 = _mm_sha256msg1_epu32(m1, m2);
+      rounds4(abef, cdgh, m3, g + 3);
+      m0 = schedule(m0, m2, m3);
+      m2 = _mm_sha256msg1_epu32(m2, m3);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state.data()),
+                   _mm_blend_epi16(feba, dchg, 0xf0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state.data() + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+bool cpu_has_sha_ni() {
+  // CPUID leaf 1: ECX bit 9 is SSSE3 and bit 19 SSE4.1; leaf 7 (subleaf
+  // 0): EBX bit 29 is the SHA extensions.
+  unsigned a = 0, b = 0, c = 0, d = 0;
+  if (__get_cpuid(1, &a, &b, &c, &d) == 0) return false;
+  const bool sse = (c & (1u << 9)) != 0 && (c & (1u << 19)) != 0;
+  if (__get_cpuid_count(7, 0, &a, &b, &c, &d) == 0) return false;
+  return sse && (b & (1u << 29)) != 0;
+}
+#endif
+
+}  // namespace
+
+Sha256::Compress Sha256::portable() { return compress_portable; }
+
+Sha256::Compress Sha256::hardware() {
+#if defined(__x86_64__)
+  static const bool available = cpu_has_sha_ni();
+  return available ? compress_sha_ni : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+Sha256::Sha256()
+    : Sha256(hardware() != nullptr ? hardware() : portable()) {}
+
+Sha256::Sha256(Compress compress)
+    : compress_(compress),
+      state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {
+  MSV_CHECK_MSG(compress_ != nullptr, "Sha256 needs a compression");
+}
+
+void Sha256::update(const void* data, std::size_t len) {
+  MSV_CHECK_MSG(!finished_, "Sha256::update after finish");
+  if (len == 0) return;
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  total_len_ += len;
+  if (buffer_len_ > 0) {
+    const std::size_t take = std::min(len, buffer_.size() - buffer_len_);
+    std::memcpy(buffer_.data() + buffer_len_, p, take);
+    buffer_len_ += take;
+    p += take;
+    len -= take;
+    if (buffer_len_ < buffer_.size()) return;
+    compress_(state_, buffer_.data(), 1);
+    buffer_len_ = 0;
+  }
+  // Whole blocks compress straight from the input.
+  const std::size_t blocks = len / buffer_.size();
+  if (blocks > 0) {
+    compress_(state_, p, blocks);
+    p += blocks * buffer_.size();
+    len -= blocks * buffer_.size();
+  }
+  if (len > 0) {
+    std::memcpy(buffer_.data(), p, len);
+    buffer_len_ = len;
+  }
+}
+
+Sha256::Digest Sha256::finish() {
+  MSV_CHECK_MSG(!finished_, "Sha256::finish called twice");
+  const std::uint64_t bit_len = total_len_ * 8;
+  // Padding: 0x80, zeros up to 56 bytes mod 64, the 64-bit length.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::fill(buffer_.begin() + buffer_len_, buffer_.end(), 0);
+    compress_(state_, buffer_.data(), 1);
+    buffer_len_ = 0;
+  }
+  std::fill(buffer_.begin() + buffer_len_, buffer_.begin() + 56, 0);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  }
+  compress_(state_, buffer_.data(), 1);
+  finished_ = true;
+
+  Digest d;
+  for (int i = 0; i < 8; ++i)
+    for (int j = 0; j < 4; ++j)
+      d[i * 4 + j] = static_cast<std::uint8_t>(state_[i] >> (8 * (3 - j)));
+  return d;
 }
 
 Sha256::Digest Sha256::hash(std::string_view s) {

@@ -44,13 +44,6 @@ ByteBuffer NativeImage::serialize() const {
   return buf;
 }
 
-Sha256::Digest NativeImage::measure() const {
-  const ByteBuffer buf = serialize();
-  Sha256 h;
-  h.update(buf.data(), buf.size());
-  return h.finish();
-}
-
 NativeImage ImageBuilder::build(const model::AppModel& input, bool is_trusted,
                                 std::vector<MethodRef> entry_override) const {
   NativeImage image;

@@ -16,7 +16,6 @@
 
 #include "model/app_model.h"
 #include "support/bytes.h"
-#include "support/sha256.h"
 #include "transform/reachability.h"
 
 namespace msv::xform {
@@ -51,7 +50,6 @@ struct NativeImage {
   // Canonical serialization (what gets EADDed page by page); stable across
   // runs so measurements are reproducible.
   ByteBuffer serialize() const;
-  Sha256::Digest measure() const;
 
   // Statistics useful for the TCB discussion in the paper.
   std::size_t class_count() const { return classes.classes().size(); }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "apps/illustrative/bank.h"
+#include "apps/paldb/model.h"
+#include "apps/specjvm/harness.h"
 #include "apps/synthetic/generator.h"
 #include "core/montsalvat.h"
 
@@ -38,6 +40,41 @@ TEST(Determinism, DifferentCodeDifferentMeasurement) {
   PartitionedApp bank(apps::build_bank_app());
   PartitionedApp micro(apps::synthetic::build_micro_app());
   EXPECT_NE(bank.enclave().measurement(), micro.enclave().measurement());
+}
+
+// MRENCLAVE of the builds the benchmarks run, with the default AppConfig.
+// A change to the image serializer, the shim tag, the EDL, Edger8r or
+// SHA-256 moves these digests.
+TEST(Determinism, MeasurementsArePinned) {
+  const auto mrenclave = [](auto&& app) {
+    return Sha256::hex(app.enclave().measurement());
+  };
+  EXPECT_EQ(mrenclave(PartitionedApp(apps::build_bank_app(), 8)),
+            "a27ac6962c91871b9f840d7dc7c936ec1c13bc23518e62ac574d98a87f14c273");
+  EXPECT_EQ(mrenclave(PartitionedApp(apps::synthetic::build_micro_app())),
+            "f0548c2e31db6770cb1aa7651eaa4772cdc6482212fb8951e994fe0599769331");
+  namespace paldb = apps::paldb;
+  EXPECT_EQ(mrenclave(UnpartitionedApp(paldb::build_paldb_app(
+                paldb::Scheme::kUnpartitioned, paldb::PaldbWorkload{}))),
+            "0c899c2c2a89a0a78479b94b9762176c4578608da85c1cb2dec4269a953b0018");
+  namespace specjvm = apps::specjvm;
+  const specjvm::Benchmark mc = specjvm::Benchmark::kMonteCarlo;
+  EXPECT_EQ(mrenclave(UnpartitionedApp(specjvm::build_model(
+                mc, specjvm::WorkloadSpec::defaults(mc)))),
+            "074e070b49818dc784fcf490fb68ac1b92dda3be08bcf26f27fba7d6fa456fda");
+}
+
+// MRENCLAVE covers only the trusted bridge source, so the untrusted source
+// and the header are pinned separately.
+TEST(Determinism, Edger8rOutputIsPinned) {
+  const PartitionedApp app(apps::build_bank_app(), 8);
+  const sgx::EdgeRoutines& edge = app.edge_routines();
+  EXPECT_EQ(Sha256::hex(Sha256::hash(edge.trusted_source)),
+            "ce6303f3dcb510f78b30a7326b17c468f72fb4c824c0157b01ca0c90ee920add");
+  EXPECT_EQ(Sha256::hex(Sha256::hash(edge.untrusted_source)),
+            "c6cce26957df6b770d54b8d5771e933839f0758633489dc6be4c6014b57e9db0");
+  EXPECT_EQ(Sha256::hex(Sha256::hash(edge.header)),
+            "a748bc3c3e155e69af6c760edaffdc516057c4bc4254584e03cb92e1fa9f866e");
 }
 
 TEST(Config, CostModelOverridesApply) {

@@ -2,6 +2,10 @@
 // EDL/Edger8r generation and attestation.
 #include <gtest/gtest.h>
 
+#include <list>
+#include <unordered_map>
+#include <vector>
+
 #include "sgx/attestation.h"
 #include "sgx/bridge.h"
 #include "sgx/edl.h"
@@ -9,6 +13,7 @@
 #include "sgx/epc.h"
 #include "sim/env.h"
 #include "support/error.h"
+#include "support/rng.h"
 #include "telemetry/flight.h"
 
 namespace msv::sgx {
@@ -155,6 +160,154 @@ TEST(Epc, StatsReconcileAcrossReleaseAndInvalidate) {
   epc.access(3, 3);  // hit; drains 2 pages first
   EXPECT_EQ(epc.resident_pages(), 2u);
   EXPECT_TRUE(epc.stats_reconcile());
+}
+
+// Reference model for the oracle test below: the EPC's LRU written the
+// plainest way (a std::list in recency order plus a hash index), with the
+// same drain-before-lookup rule and per-page charges as EpcModel.
+class ReferenceEpc {
+ public:
+  explicit ReferenceEpc(const CostModel& cost)
+      : cost_(cost),
+        capacity_(cost.epc_usable_bytes / cost.page_bytes),
+        limit_(capacity_) {}
+
+  void access(std::uint64_t region, std::uint64_t page) {
+    ++stats_.accesses;
+    drain(0);
+    const std::uint64_t key = (region << 40) | page;
+    const auto it = index_.find(key);
+    if (it != index_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second);
+      return;
+    }
+    ++stats_.faults;
+    clock_ += cost_.epc_page_in_cycles;
+    drain(1);
+    lru_.push_front(key);
+    index_[key] = lru_.begin();
+  }
+  void release_region(std::uint64_t region) {
+    for (auto it = lru_.begin(); it != lru_.end();) {
+      if ((*it >> 40) == region) {
+        index_.erase(*it);
+        it = lru_.erase(it);
+        ++stats_.released;
+      } else {
+        ++it;
+      }
+    }
+  }
+  void invalidate_all() {
+    stats_.invalidated += lru_.size();
+    index_.clear();
+    lru_.clear();
+  }
+  void set_reserved_pages(std::uint64_t n) { reserved_ = n; }
+  void set_limit(std::uint64_t pages) {
+    limit_ = pages < capacity_ ? pages : capacity_;
+  }
+
+  std::uint64_t capacity() const { return capacity_; }
+  std::uint64_t resident() const { return lru_.size(); }
+  Cycles clock() const { return clock_; }
+  const EpcStats& stats() const { return stats_; }
+
+ private:
+  void drain(std::uint64_t headroom) {
+    const std::uint64_t share = capacity_ - reserved_;
+    const std::uint64_t cap = share < limit_ ? share : limit_;
+    while (lru_.size() + headroom > cap) {
+      ++stats_.evictions;
+      clock_ += cost_.epc_page_out_cycles;
+      index_.erase(lru_.back());
+      lru_.pop_back();
+    }
+  }
+
+  CostModel cost_;
+  std::uint64_t capacity_;
+  std::uint64_t reserved_ = 0;
+  std::uint64_t limit_;
+  std::list<std::uint64_t> lru_;
+  std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator> index_;
+  EpcStats stats_;
+  Cycles clock_ = 0;
+};
+
+TEST(Epc, MatchesReferenceLruOnRandomSequences) {
+  // Seeded random operation mixes over small EPCs (1-64 pages) and 1-6
+  // regions. The key pool includes the extreme key (2^24-1, 2^40-1), one
+  // region touched at pages 0 and 2^39, and runs that cross a 512-page
+  // boundary. After every operation the clock, all five counters, the
+  // resident count and the conservation check must equal the reference's;
+  // an LRU-order slip shows up as a fault or eviction count that drifts.
+  constexpr std::uint64_t kExtremeRegion = (1ull << 24) - 1;
+  constexpr std::uint64_t kExtremePage = (1ull << 40) - 1;
+  constexpr int kTrials = 60;
+  constexpr int kOpsPerTrial = 2000;
+  Rng rng(2024);
+  std::uint64_t ops = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    Env env;
+    const std::uint64_t capacity = 1 + rng.next_below(64);
+    env.cost.epc_usable_bytes = capacity * env.cost.page_bytes;
+    EpcModel epc(env);
+    ReferenceEpc ref(env.cost);
+    ASSERT_EQ(epc.capacity_pages(), ref.capacity());
+    const Cycles start = env.clock.now();
+
+    const std::uint64_t n_regions = 1 + rng.next_below(6);
+    std::vector<std::uint64_t> regions;
+    for (std::uint64_t r = 0; r < n_regions; ++r) {
+      regions.push_back(r == 0 && trial % 3 == 0 ? kExtremeRegion : r + 1);
+    }
+    const std::uint64_t span = 2 * capacity + 8;
+    const auto pick_page = [&](std::uint64_t region) -> std::uint64_t {
+      const std::uint64_t roll = rng.next_below(100);
+      if (region == kExtremeRegion && roll < 10) return kExtremePage;
+      if (region == regions.back() && roll < 8) {
+        return roll < 4 ? 0 : 1ull << 39;
+      }
+      if (roll < 20) return 500 + rng.next_below(span);  // crosses 512
+      return rng.next_below(span);
+    };
+
+    for (int i = 0; i < kOpsPerTrial; ++i, ++ops) {
+      const std::uint64_t roll = rng.next_below(1000);
+      const std::uint64_t region = regions[rng.next_below(n_regions)];
+      if (roll < 940) {
+        const std::uint64_t page = pick_page(region);
+        epc.access(region, page);
+        ref.access(region, page);
+      } else if (roll < 960) {
+        const std::uint64_t limit = 1 + rng.next_below(capacity + 2);
+        epc.set_limit(limit);
+        ref.set_limit(limit);
+      } else if (roll < 975) {
+        const std::uint64_t reserved = rng.next_below(capacity);
+        epc.set_reserved_pages(reserved);
+        ref.set_reserved_pages(reserved);
+      } else if (roll < 995) {
+        epc.release_region(region);
+        ref.release_region(region);
+      } else {
+        epc.invalidate_all();
+        ref.invalidate_all();
+      }
+      ASSERT_EQ(env.clock.now() - start, ref.clock())
+          << "trial " << trial << " op " << i;
+      ASSERT_EQ(epc.stats().accesses, ref.stats().accesses);
+      ASSERT_EQ(epc.stats().faults, ref.stats().faults)
+          << "trial " << trial << " op " << i;
+      ASSERT_EQ(epc.stats().evictions, ref.stats().evictions);
+      ASSERT_EQ(epc.stats().released, ref.stats().released);
+      ASSERT_EQ(epc.stats().invalidated, ref.stats().invalidated);
+      ASSERT_EQ(epc.resident_pages(), ref.resident());
+      ASSERT_TRUE(epc.stats_reconcile());
+    }
+  }
+  EXPECT_GE(ops, 100'000u);
 }
 
 TEST(Epc, OutOfRangeIndicesAreRejectedNotAliased) {

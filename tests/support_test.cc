@@ -1,6 +1,10 @@
 // Tests for src/support: clock/timers, byte buffers, hashes, stats, tables.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "support/bytes.h"
 #include "support/clock.h"
 #include "support/error.h"
@@ -268,6 +272,12 @@ TEST(Sha256, FipsVectors) {
       Sha256::hex(Sha256::hash(
           "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(Sha256::hex(Sha256::hash(
+                "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
+                "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu")),
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
+  EXPECT_EQ(Sha256::hex(Sha256::hash(std::string(1'000'000, 'a'))),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
 TEST(Sha256, IncrementalMatchesOneShot) {
@@ -276,6 +286,49 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   h.update("c");
   EXPECT_EQ(Sha256::hex(h.finish()),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
+// Seeded messages of every length from 0 to 1,100 bytes, each hashed
+// with `compress` over 1-3 update calls cut at seeded points.
+std::vector<std::pair<std::string, Sha256::Digest>> split_cases(
+    Sha256::Compress compress) {
+  Rng rng(256);
+  std::string input(1100, '\0');
+  for (char& c : input) c = static_cast<char>(rng.next_below(256));
+  std::vector<std::pair<std::string, Sha256::Digest>> out;
+  for (std::size_t len = 0; len <= input.size(); ++len) {
+    const std::string_view msg(input.data(), len);
+    for (int parts = 1; parts <= 3; ++parts) {
+      std::size_t cut1 = parts >= 2 ? rng.next_below(len + 1) : len;
+      std::size_t cut2 = parts == 3 ? rng.next_below(len + 1) : len;
+      if (cut2 < cut1) std::swap(cut1, cut2);
+      Sha256 h(compress);
+      h.update(msg.substr(0, cut1));
+      h.update(msg.substr(cut1, cut2 - cut1));
+      h.update(msg.substr(cut2));
+      out.emplace_back(std::string(msg), h.finish());
+    }
+  }
+  return out;
+}
+
+TEST(Sha256, SplitUpdatesMatchOneShot) {
+  for (const auto& [msg, digest] : split_cases(Sha256::portable())) {
+    Sha256 one(Sha256::portable());
+    one.update(msg);
+    ASSERT_EQ(digest, one.finish()) << "length " << msg.size();
+  }
+}
+
+TEST(Sha256, HardwareCompressionMatchesPortable) {
+  if (Sha256::hardware() == nullptr) {
+    GTEST_SKIP() << "this CPU lacks the x86 SHA extensions";
+  }
+  for (const auto& [msg, digest] : split_cases(Sha256::hardware())) {
+    Sha256 ref(Sha256::portable());
+    ref.update(msg);
+    ASSERT_EQ(digest, ref.finish()) << "length " << msg.size();
+  }
 }
 
 TEST(Fnv, KnownValues) {

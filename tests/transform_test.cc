@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/illustrative/bank.h"
+#include "core/app.h"
 #include "transform/image_builder.h"
 #include "transform/reachability.h"
 #include "transform/transformer.h"
@@ -219,11 +220,15 @@ TEST(ImageBuilder, MeasurementIsStableAndTamperSensitive) {
   const TransformResult r2 = transform_bank();
   const NativeImage a = ImageBuilder().build(r1.trusted, true);
   const NativeImage b = ImageBuilder().build(r2.trusted, true);
-  EXPECT_EQ(a.measure(), b.measure()) << "same input -> same MRENCLAVE";
+  const sgx::EdgeRoutines edge = sgx::edger8r_generate(r1.edl);
+  EXPECT_EQ(core::measure_enclave_blob(a, edge),
+            core::measure_enclave_blob(b, sgx::edger8r_generate(r2.edl)))
+      << "same input -> same MRENCLAVE";
 
   NativeImage tampered = ImageBuilder().build(r1.trusted, true);
   tampered.code_bytes ^= 1;
-  EXPECT_NE(tampered.measure(), a.measure());
+  EXPECT_NE(core::measure_enclave_blob(tampered, edge),
+            core::measure_enclave_blob(a, edge));
 }
 
 TEST(ImageBuilder, SizeAccountingAddsUp) {

@@ -18,6 +18,10 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j
 
 "$BUILD_DIR"/bench/abl_rmi_fastpath --smoke > /dev/null
 "$BUILD_DIR"/bench/abl_switchless --smoke > /dev/null
+# EPC paging cliff: exits 1 unless each of its ten sweeps lands on its
+# pinned simulated cycles, so the EPC model's eviction order and per-page
+# charges cannot drift.
+"$BUILD_DIR"/bench/abl_epc > /dev/null
 
 # The examples run end to end; each exits non-zero when a property it
 # demonstrates (tenant isolation, sealing, attestation) breaks.
@@ -92,8 +96,9 @@ tools/bench_diff.py BENCH_partition.json "$BUILD_DIR"/BENCH_partition.json
 # cliff curve + mid-run shrink, GC allocation storms + weakref churn,
 # pathological serde shapes + sealed checkpoints, TCS exhaustion, and the
 # fault storm under overload with the health stack armed. Their reports
-# merge into one BENCH_stress.json gated against the checked-in baseline
-# (the suite is deterministic, so smoke-vs-smoke compares exactly).
+# merge into one BENCH_stress.json gated against the checked-in baseline.
+# bench_diff gates only its *_rps and *_p99_* keys, within bands; none of
+# stress_epc's keys is among them (abl_epc above pins the EPC model).
 for s in epc gc serde tcs storm; do
   "$BUILD_DIR"/bench/stress_$s --smoke \
     --json="$BUILD_DIR"/stress_$s.json > /dev/null
