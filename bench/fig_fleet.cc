@@ -52,7 +52,7 @@ constexpr std::uint32_t kTenants = 64;
 struct FleetRunResult {
   fleet::FleetLoadReport rep;
   fleet::FleetStats stats;
-  std::vector<fleet::ShardStats> shards;
+  std::vector<server::RecoveryStats> shards;
   std::vector<std::uint32_t> residents;
   std::string trace_json;
   std::string metrics_text;
@@ -89,7 +89,7 @@ FleetRunResult run_fleet(const FleetScenario& sc,
   fc.shards = sc.shards;
   fc.tenants = kTenants;
   fc.shard.replication = sc.replication;
-  fc.shard.workers = 2;
+  fc.shard.shared_workers = 2;
   fc.shard.coalesce_max = 4;
   fc.shard.recovery.enabled = true;
   fc.shard.recovery.checkpoint_every = 2;
@@ -146,8 +146,8 @@ FleetRunResult run_fleet(const FleetScenario& sc,
       std::uint64_t best = ~0ull;
       for (std::uint32_t k = 0; k < router.shard_count(); ++k) {
         if (k == from) continue;
-        if (router.shard(k).stats().accepted < best) {
-          best = router.shard(k).stats().accepted;
+        if (router.shard(k).totals().accepted < best) {
+          best = router.shard(k).totals().accepted;
           coldest = k;
         }
       }
@@ -161,7 +161,7 @@ FleetRunResult run_fleet(const FleetScenario& sc,
   r.stats = router.stats();
   for (std::uint32_t k = 0; k < router.shard_count(); ++k) {
     r.shards.push_back(router.shard(k).stats());
-    r.residents.push_back(router.shard(k).resident_count());
+    r.residents.push_back(router.shard(k).tenant_count());
     if (const faults::FaultInjector* inj = router.injector_for(k)) {
       r.losses_injected += inj->stats().enclave_losses;
     }
@@ -461,7 +461,7 @@ int main(int argc, char** argv) {
     // same-cycle is a tie the monitor wins by construction).
     std::uint32_t injured = 0;
     for (std::uint32_t k = 0; k < a.shards.size(); ++k) {
-      const fleet::ShardStats& s = a.shards[k];
+      const server::RecoveryStats& s = a.shards[k];
       if (s.first_recovery_started_cycles == 0) continue;
       ++injured;
       MSV_CHECK_MSG(a.first_degraded[k] != 0,

@@ -69,7 +69,7 @@ RunResult run_workload(const core::AppConfig& app_cfg,
     telemetry::publish_epc(m, app.enclave().epc().stats());
     telemetry::publish_tcs(m, app.enclave().tcs().stats());
     telemetry::publish_scheduler(m, sched.stats());
-    telemetry::publish_server(m, srv.stats());
+    telemetry::publish_server(m, srv.totals());
     for (std::uint32_t t = 0; t < srv.tenant_count(); ++t) {
       telemetry::publish_tenant(m, srv.tenant_stats(t), t);
     }
@@ -280,11 +280,11 @@ int main(int argc, char** argv) {
          sgx::SwitchlessConfig::WakePolicy::kSleepWake},
     };
     for (const Scenario& sc : scenarios) {
+      core::AppConfig app_cfg;
+      app_cfg.switchless_relays = sc.switchless;
       server::ServerConfig srv_cfg = base_srv;
-      srv_cfg.switchless = sc.switchless;
-      srv_cfg.ecall_ring.policy = sc.policy;
-      srv_cfg.ocall_ring.policy = sc.policy;
-      const RunResult r = run_workload({}, srv_cfg, spec);
+      srv_cfg.ring_policy = sc.policy;
+      const RunResult r = run_workload(app_cfg, srv_cfg, spec);
       table.add_row({sc.name, fmt_krps(r.report.throughput_rps),
                      fmt_us(r.report.aggregate.p50_us),
                      fmt_us(r.report.aggregate.p99_us),

@@ -45,7 +45,7 @@ constexpr std::uint32_t kShards = 4;
 struct StormResult {
   fleet::FleetLoadReport rep;
   fleet::FleetStats stats;
-  std::vector<fleet::ShardStats> shards;
+  std::vector<server::RecoveryStats> shards;
   std::vector<Cycles> first_degraded;
   std::string health_report;
   std::string postmortem_bundle;
@@ -64,7 +64,7 @@ StormResult run_storm(const fleet::FleetLoadSpec& spec,
   fc.shards = kShards;
   fc.tenants = kTenants;
   fc.shard.replication = false;  // the restart ladder is the slow path
-  fc.shard.workers = 2;
+  fc.shard.shared_workers = 2;
   fc.shard.coalesce_max = 4;
   fc.shard.recovery.enabled = true;
   fc.shard.recovery.checkpoint_every = 2;

@@ -42,8 +42,8 @@ RunResult run_burst(std::uint32_t tcs_slots, bool switchless,
                     const server::OpenLoopSpec& spec) {
   core::AppConfig app_cfg;
   app_cfg.tcs.slots = tcs_slots;
+  app_cfg.switchless_relays = switchless;
   server::ServerConfig srv_cfg;
-  srv_cfg.switchless = switchless;
 
   core::PartitionedApp app(apps::build_bank_app(), kTenants, app_cfg);
   sched::Scheduler sched(app.env());

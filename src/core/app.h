@@ -138,6 +138,7 @@ class PartitionedApp {
   rt::Value run_main(std::vector<rt::Value> args = {});
 
   Env& env() { return env_; }
+  const AppConfig& config() const { return config_; }
   double now_seconds() const { return env_.clock.seconds(); }
   std::uint32_t isolate_count() const { return rmi_->isolate_count(); }
 

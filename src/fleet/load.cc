@@ -9,19 +9,6 @@
 
 namespace msv::fleet {
 
-namespace {
-
-// Exponential gap with the given mean, quantized to whole cycles; one Rng
-// draw per call, in task program order (the harness's determinism idiom).
-Cycles exp_gap(Rng& rng, Cycles mean) {
-  const double u = rng.next_double();  // [0, 1)
-  return static_cast<Cycles>(-std::log(1.0 - u) * static_cast<double>(mean));
-}
-
-constexpr Cycles kDrainQuantum = 10'000;
-
-}  // namespace
-
 std::vector<double> FleetLoad::zipf_cdf(std::uint32_t tenants, double s) {
   MSV_CHECK_MSG(tenants > 0, "zipf over zero tenants");
   std::vector<double> cdf(tenants);
@@ -49,7 +36,7 @@ FleetLoadReport FleetLoad::run(const FleetLoadSpec& spec) {
     Rng rng(spec.seed * 0x9e3779b97f4a7c15ull + 1);
     Cycles next = env_.clock.now();
     for (std::uint64_t i = 0; i < spec.requests; ++i) {
-      next += exp_gap(rng, spec.mean_interarrival_cycles);
+      next += server::exp_gap(rng, spec.mean_interarrival_cycles);
       if (next > env_.clock.now()) sched.sleep_until(next);
       // Zipf draw: invert the precomputed CDF with one uniform sample.
       const double u = rng.next_double();
@@ -63,16 +50,13 @@ FleetLoadReport FleetLoad::run(const FleetLoadSpec& spec) {
       if (router_.submit(tenant, r)) ++rep.accepted;
     }
   });
-  sched.run();  // the generator finishes (worker daemons may hold work)
-  sched.spawn("fleet-drain", [&] {
-    while (router_.pending() > 0) sched.sleep_for(kDrainQuantum);
-  });
-  sched.run();
+  server::run_until_drained(sched, "fleet-drain",
+                            [this] { return router_.pending(); });
 
   const double hz = env_.clock.hz();
   std::vector<Cycles> all;
   for (std::uint32_t k = 0; k < router_.shard_count(); ++k) {
-    const std::vector<Cycles>& lat = router_.shard(k).latencies();
+    const std::vector<Cycles> lat = router_.shard(k).all_latencies();
     rep.per_shard.push_back(server::summarize_latencies(lat, hz));
     for (const Cycles c : lat) rep.latency_cycle_sum += c;
     all.insert(all.end(), lat.begin(), lat.end());

@@ -9,6 +9,13 @@
 
 namespace msv::fleet {
 
+namespace {
+
+// Isolate slots per shard enclave, at least.
+constexpr std::uint32_t kMinSlots = 8;
+
+}  // namespace
+
 FleetRouter::FleetRouter(Env& env, sched::Scheduler& sched,
                          const model::AppModel& app_model, FleetConfig config)
     : env_(env),
@@ -21,8 +28,8 @@ FleetRouter::FleetRouter(Env& env, sched::Scheduler& sched,
   for (std::uint32_t k = 0; k < config_.shards; ++k) ring_.add_node(k);
   // Seed the route table from the ring before sizing shards: each shard
   // needs one isolate slot per resident, and the ring's spread decides
-  // residency. `slots` in the shard config is a floor; a shard that the
-  // ring loads heavier gets exactly what it needs.
+  // residency. kMinSlots is a floor; a shard that the ring loads heavier
+  // gets exactly what it needs.
   std::vector<std::uint32_t> residents(config_.shards, 0);
   for (std::uint32_t t = 0; t < config_.tenants; ++t) {
     const std::uint32_t owner = ring_.owner_of(t);
@@ -30,12 +37,11 @@ FleetRouter::FleetRouter(Env& env, sched::Scheduler& sched,
     ++residents[owner];
   }
   for (std::uint32_t k = 0; k < config_.shards; ++k) {
-    ShardConfig sc = config_.shard;
     // Headroom above the ring's current spread lets migrations land
     // without rebuilding the shard.
-    sc.slots = std::max(sc.slots, residents[k] + 2);
-    shards_.push_back(std::make_unique<Shard>(env_, sched_, app_model_, k,
-                                              sc, config_.app));
+    const std::uint32_t slots = std::max(kMinSlots, residents[k] + 2);
+    shards_.push_back(std::make_unique<server::RequestServer>(
+        env_, sched_, app_model_, k, slots, config_.shard, config_.app));
   }
   injectors_.resize(config_.shards);
   accepted_by_tenant_.assign(config_.tenants, 0);
@@ -60,9 +66,9 @@ void FleetRouter::start() {
   }
   if (env_.telemetry.metrics_enabled()) {
     for (std::uint32_t k = 0; k < shards_.size(); ++k) {
-      shards_[k]->latency_hist = &env_.telemetry.metrics().histogram(
+      shards_[k]->set_latency_histogram(&env_.telemetry.metrics().histogram(
           "msv_fleet_request_latency_cycles",
-          {{"shard", std::to_string(k)}});
+          {{"shard", std::to_string(k)}}));
     }
   }
   started_ = true;
@@ -92,7 +98,7 @@ std::uint32_t FleetRouter::tenants_off_ring() const {
 
 bool FleetRouter::submit(std::uint32_t tenant, server::Request r) {
   const std::uint32_t k = shard_of(tenant);
-  Shard& shard = *shards_[k];
+  server::RequestServer& shard = *shards_[k];
   // SLO enforcement: a shard the monitor holds critical stops taking new
   // work at the router — the backlog it has is the backlog it drains.
   // Router-level sheds are *not* recorded back into the monitor (that
@@ -114,7 +120,7 @@ bool FleetRouter::submit(std::uint32_t tenant, server::Request r) {
 
 std::int64_t FleetRouter::submit_and_wait(std::uint32_t tenant,
                                           server::Request r) {
-  Shard& shard = *shards_[shard_of(tenant)];
+  server::RequestServer& shard = *shards_[shard_of(tenant)];
   const std::int64_t result = shard.submit_and_wait(tenant, r);
   ++accepted_by_tenant_[tenant];
   return result;
@@ -136,8 +142,8 @@ void FleetRouter::migrate_tenant(std::uint32_t tenant,
                             telemetry::Category::kFleet,
                             env_.telemetry.names().fleet_migrate,
                             static_cast<std::int32_t>(tenant));
-  Shard& src = *shards_[from_shard];
-  Shard& dst = *shards_[to_shard];
+  server::RequestServer& src = *shards_[from_shard];
+  server::RequestServer& dst = *shards_[to_shard];
   // Drain behind the coalescing fence, then move the *sealed* state: the
   // blob is safe in untrusted hands, and the target enclave's identical
   // measurement derives the same unsealing key (§11).
@@ -169,8 +175,9 @@ void FleetRouter::attach_fault_plan(const faults::FaultPlan& plan) {
                   "shard already has a fault plan attached");
     injectors_[k] =
         std::make_unique<faults::FaultInjector>(env_, std::move(mine));
-    injectors_[k]->arm(shards_[k]->active_app().enclave());
-    shards_[k]->attach_injector(injectors_[k].get());
+    injectors_[k]->arm(shards_[k]->app().enclave());
+    shards_[k]->app().bridge().attach_fault_injector(injectors_[k].get());
+    shards_[k]->attach_fault_injector(*injectors_[k]);
   }
 }
 
@@ -201,11 +208,13 @@ std::optional<FleetRouter::MigrationHint> FleetRouter::migration_hint() {
     }
   }
   if (best_h >= worst_h) return std::nullopt;
-  // Hottest tenant resident on the sick shard.
+  // Hottest tenant resident on the sick shard (the route table is the
+  // residency map).
   std::uint32_t tenant = 0;
   std::uint64_t hottest = 0;
   bool found = false;
-  for (const std::uint32_t t : shards_[worst]->resident_tenants()) {
+  for (const auto& [t, k] : route_) {
+    if (k != worst) continue;
     if (!found || accepted_by_tenant_[t] > hottest) {
       tenant = t;
       hottest = accepted_by_tenant_[t];
@@ -223,19 +232,20 @@ FleetStats FleetRouter::stats() const {
   out.shed = shed_admission_ + shed_slo_;
   out.migrations = migrations_;
   for (const auto& shard : shards_) {
-    const ShardStats& s = shard->stats();
-    out.accepted += s.accepted;
-    out.shed += s.shed;
-    out.shed_recovery += s.shed_recovery;
-    out.shed_migrating += s.shed_migrating;
-    out.completed += s.completed;
-    out.failed += s.failed;
-    out.retries += s.retries;
-    out.checkpoints += s.checkpoints;
+    const server::TenantStats t = shard->totals();
+    out.accepted += t.accepted;
+    out.shed += t.shed;
+    out.shed_recovery += t.shed_recovery;
+    out.shed_migrating += t.shed_migrating;
+    out.completed += t.completed;
+    out.failed += t.failed;
+    out.retries += t.retries;
+    out.checkpoints += t.checkpoints;
+    out.restored += t.restored;
+    out.checkpoint_corrupt += t.checkpoint_corrupt;
+    const server::RecoveryStats& s = shard->stats();
     out.replicated_blobs += s.replicated_blobs;
     out.replicated_bytes += s.replicated_bytes;
-    out.restored += s.restored;
-    out.checkpoint_corrupt += s.checkpoint_corrupt;
     out.promotions += s.promotions;
     out.restarts += s.restarts;
     out.standby_rebuilds += s.standby_rebuilds;
@@ -252,7 +262,8 @@ void FleetRouter::publish_metrics() {
   m.gauge("msv_fleet_tenants_off_ring")
       .set(static_cast<double>(tenants_off_ring()));
   for (std::uint32_t k = 0; k < shards_.size(); ++k) {
-    telemetry::publish_fleet_shard(m, shards_[k]->stats(), k);
+    telemetry::publish_fleet_shard(m, shards_[k]->totals(),
+                                   shards_[k]->stats(), k);
   }
   if (slo_ != nullptr) slo_->publish(m);
 }

@@ -2,12 +2,13 @@
 // admission control, hot-tenant migration, and fault-plan distribution
 // (DESIGN.md §14).
 //
-// The router owns the shards and the only mutable copy of the
-// tenant->shard route table. The table is *seeded* from the ring at
-// start and *amended* by migrations — routing follows the table, never
-// the ring directly, so moving a hot tenant off its ring-assigned home
-// is an explicit, stateful act (and `tenants_off_ring` gauges how far
-// the table has drifted from the ring's equilibrium).
+// Each shard is a server::RequestServer with its own enclave and, with
+// replication, a warm standby. The router owns the shards and the only
+// mutable copy of the tenant->shard route table. The table is *seeded*
+// from the ring at start and *amended* by migrations — routing follows
+// the table, never the ring directly, so moving a hot tenant off its
+// ring-assigned home is an explicit, stateful act (and `tenants_off_ring`
+// gauges how far the table has drifted from the ring's equilibrium).
 #pragma once
 
 #include <cstdint>
@@ -18,7 +19,7 @@
 
 #include "faults/injector.h"
 #include "fleet/ring.h"
-#include "fleet/shard.h"
+#include "server/server.h"
 #include "telemetry/slo.h"
 
 namespace msv::fleet {
@@ -32,7 +33,13 @@ struct FleetConfig {
   // Fleet-level admission cap: submissions to a shard whose total backlog
   // (queued + in flight) reaches this are shed at the router.
   std::size_t max_shard_pending = 256;
-  ShardConfig shard;
+  // Every shard's serving config. A shard's slots all feed one lane, by
+  // default served by one worker.
+  server::ServerConfig shard = [] {
+    server::ServerConfig c;
+    c.shared_workers = 1;
+    return c;
+  }();
   core::AppConfig app;
   // Fleet health (DESIGN.md §16). slo_enabled builds a per-shard
   // SloMonitor and wires every shard's sheds/faults/latencies into it;
@@ -90,8 +97,10 @@ class FleetRouter {
   std::uint32_t shard_count() const {
     return static_cast<std::uint32_t>(shards_.size());
   }
-  Shard& shard(std::uint32_t k) { return *shards_[k]; }
-  const Shard& shard(std::uint32_t k) const { return *shards_[k]; }
+  server::RequestServer& shard(std::uint32_t k) { return *shards_[k]; }
+  const server::RequestServer& shard(std::uint32_t k) const {
+    return *shards_[k];
+  }
   const HashRing& ring() const { return ring_; }
 
   // Current routing (table, including migrations) vs ring equilibrium.
@@ -127,7 +136,7 @@ class FleetRouter {
   // Partitions a fleet fault plan (absolute instants) into per-shard
   // schedules, builds one injector per targeted shard, arms each at its
   // shard's active enclave and attaches it to the bridge. The injectors
-  // follow promotions automatically (Shard re-attaches + retargets).
+  // follow promotions automatically (the shard re-attaches + retargets).
   void attach_fault_plan(const faults::FaultPlan& plan);
   const faults::FaultInjector* injector_for(std::uint32_t k) const {
     return injectors_[k].get();
@@ -161,7 +170,7 @@ class FleetRouter {
   const model::AppModel& app_model_;
   FleetConfig config_;
   HashRing ring_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::unique_ptr<server::RequestServer>> shards_;
   std::map<std::uint32_t, std::uint32_t> route_;  // tenant -> shard
   std::vector<std::uint64_t> accepted_by_tenant_;
   // One slot per shard; null where the plan targets nothing.

@@ -7,27 +7,27 @@
 
 namespace msv::server {
 
-namespace {
-
-// Exponential gap with the given mean, quantized to whole cycles. The Rng
-// is consumed exactly once per call, in task program order, so the sampled
-// process is independent of scheduler interleaving.
 Cycles exp_gap(Rng& rng, Cycles mean) {
   const double u = rng.next_double();  // [0, 1)
   return static_cast<Cycles>(-std::log(1.0 - u) *
                              static_cast<double>(mean));
 }
 
+void run_until_drained(sched::Scheduler& sched, const std::string& drain_task,
+                       const std::function<std::size_t()>& pending) {
+  sched.run();  // generators finish (worker daemons may still hold work)
+  sched.spawn(drain_task, [&] {
+    while (pending() > 0) sched.sleep_for(kDrainQuantum);
+  });
+  sched.run();
+}
+
+namespace {
+
 RequestOp pick_op(Rng& rng, double read_fraction) {
   return rng.next_bool(read_fraction) ? RequestOp::kBalance
                                       : RequestOp::kDeposit;
 }
-
-// Keeps the scheduler's run loop alive until every queued request has
-// been served. Quantized sleep-polling (not yield-polling): while work is
-// in flight the clock advances from the work itself and the poll costs
-// nothing; once drained the overshoot is at most one quantum of idle.
-constexpr Cycles kDrainQuantum = 10'000;
 
 }  // namespace
 
@@ -68,11 +68,7 @@ HarnessReport LoadHarness::run_open_loop(const OpenLoopSpec& spec) {
       }
     });
   }
-  sched.run();  // generators finish (worker daemons may still hold work)
-  sched.spawn("drain", [this, &sched] {
-    while (server_.pending() > 0) sched.sleep_for(kDrainQuantum);
-  });
-  sched.run();
+  run_until_drained(sched, "drain", [this] { return server_.pending(); });
   return report();
 }
 
@@ -116,7 +112,7 @@ HarnessReport LoadHarness::report() const {
     rep.tenants.push_back(tr);
   }
   rep.aggregate = summarize_latencies(all, hz);
-  const ServerStats s = server_.stats();
+  const TenantStats s = server_.totals();
   rep.completed = s.completed;
   rep.shed = s.shed;
   rep.failed = s.failed;

@@ -15,12 +15,31 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "server/server.h"
+#include "support/rng.h"
 #include "support/stats.h"
 
 namespace msv::server {
+
+// Exponential gap with the given mean, quantized to whole cycles. The Rng
+// is consumed exactly once per call, in task program order, so the sampled
+// process is independent of scheduler interleaving. Shared with the fleet
+// generator (fleet/load.h).
+Cycles exp_gap(Rng& rng, Cycles mean);
+
+// Ends a load run: runs the scheduler until the generators finish, then
+// keeps its run loop alive with a task named `drain_task` until
+// `pending()` reaches 0 (worker daemons alone do not keep run() going).
+// Quantized sleep-polling, not yield-polling: while work is in flight the
+// clock advances from the work itself and the poll costs nothing; once
+// drained the overshoot is at most one kDrainQuantum of idle.
+inline constexpr Cycles kDrainQuantum = 10'000;
+void run_until_drained(sched::Scheduler& sched, const std::string& drain_task,
+                       const std::function<std::size_t()>& pending);
 
 struct OpenLoopSpec {
   std::uint64_t requests_per_tenant = 200;

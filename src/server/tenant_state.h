@@ -1,20 +1,18 @@
 // Per-tenant session + sealed-checkpoint state (DESIGN.md §12/§14).
 //
-// Factored out of RequestServer::Tenant so every consumer of the
-// checkpoint primitive — the single-enclave request server, the fleet's
-// shards and the replica streams between them — speaks exactly one
-// checkpoint format. The payload layout and the IV-seed formula are
-// load-bearing: fig_faults' two-run determinism check compares sealed
-// bytes produced before and after this refactor, and a fleet promotion
-// unseals on a *different* enclave than the one that sealed (legal
-// because both enclaves run the same measured image, so the sealing KDF
-// derives the same key — sgx/sealing.h).
+// One per RequestServer slot, so the single-enclave server, the fleet's
+// shards and the replica streams between them speak exactly one
+// checkpoint format. A fleet promotion unseals on a *different* enclave
+// than the one that sealed (legal because both enclaves run the same
+// measured image, so the sealing KDF derives the same key —
+// sgx/sealing.h).
 //
 // Payload (plaintext inside the sealed blob), little-endian:
 //   u32     tenant id   (splice detection: unseal checks it back)
 //   varint  checkpoint sequence number (monotonic per tenant)
 //   i32     account balance
-// IV seed: (seq << 8) | tenant — unique per (tenant, seq) pair.
+// IV seed: (seq << 8) | tenant — unique per (tenant, seq) pair as long as
+// a sequence number is never sealed twice.
 #pragma once
 
 #include <cstdint>
@@ -29,10 +27,6 @@ namespace msv::server {
 struct TenantState {
   // Untrusted-side proxy of the tenant's session object ("Account").
   rt::Value session;
-  // Enclave epoch `session` was minted under. A recovery pass is complete
-  // only when this matches the serving enclave's epoch; a fault striking
-  // mid-restore leaves the rest stale and the next pass resumes there.
-  std::uint64_t session_epoch = 0;
   // Latest sealed checkpoint exactly as it sits in untrusted storage (and
   // so exactly what a corruption fault flips bits in). Empty = none.
   std::vector<std::uint8_t> checkpoint;

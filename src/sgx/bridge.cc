@@ -119,6 +119,11 @@ void TransitionBridge::set_switchless(CallId id, bool enabled) {
   slots_[id].switchless = enabled;
 }
 
+bool TransitionBridge::is_switchless(CallId id) const {
+  MSV_CHECK_MSG(id < slots_.size(), "bad call id");
+  return slots_[id].switchless;
+}
+
 void TransitionBridge::check_ecall_entry(const std::string& name) const {
   if (side() != Side::kUntrusted) {
     throw SecurityFault("ecall '" + name + "' issued from inside the enclave");

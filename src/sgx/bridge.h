@@ -133,9 +133,7 @@ class TransitionBridge {
   CallId ecall_id(const std::string& name) const;
   CallId ocall_id(const std::string& name) const;
   const std::string& call_name(CallId id) const;
-  // Every interned call name, indexed by CallId (registration order). The
-  // serving layer uses this to flag relay transitions switchless by prefix,
-  // the way PartitionedApp walks its EDL spec.
+  // Every interned call name, indexed by CallId (registration order).
   const std::vector<std::string>& call_names() const { return names_; }
 
   // Invokes trusted function `id`. Must be called from the untrusted
@@ -151,6 +149,7 @@ class TransitionBridge {
   // pay the worker-handshake cost instead of a hardware transition.
   void set_switchless(const std::string& name, bool enabled);
   void set_switchless(CallId id, bool enabled);
+  bool is_switchless(CallId id) const;
 
   // ---- Serving layer (DESIGN.md §8) ----
   // Attaching a scheduler turns on concurrency-aware behaviour: call

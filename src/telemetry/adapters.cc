@@ -104,7 +104,7 @@ void publish_gc_helper(MetricsRegistry& m, const rmi::GcHelperStats& s,
   set(m, "msv_gc_helper_eviction_calls", s.eviction_calls, labels);
 }
 
-void publish_server(MetricsRegistry& m, const server::ServerStats& s) {
+void publish_server(MetricsRegistry& m, const server::TenantStats& s) {
   set(m, "msv_server_accepted", s.accepted);
   set(m, "msv_server_shed", s.shed);
   set(m, "msv_server_completed", s.completed);
@@ -144,21 +144,21 @@ void publish_fleet(MetricsRegistry& m, const fleet::FleetStats& s) {
   set(m, "msv_fleet_recovery_cycles", s.recovery_cycles);
 }
 
-void publish_fleet_shard(MetricsRegistry& m, const fleet::ShardStats& s,
-                         std::uint32_t shard) {
+void publish_fleet_shard(MetricsRegistry& m, const server::TenantStats& t,
+                         const server::RecoveryStats& s, std::uint32_t shard) {
   const LabelSet labels = {{"shard", std::to_string(shard)}};
-  set(m, "msv_fleet_shard_accepted", s.accepted, labels);
-  set(m, "msv_fleet_shard_shed", s.shed, labels);
-  set(m, "msv_fleet_shard_completed", s.completed, labels);
-  set(m, "msv_fleet_shard_failed", s.failed, labels);
-  set(m, "msv_fleet_shard_retries", s.retries, labels);
-  set(m, "msv_fleet_shard_checkpoints", s.checkpoints, labels);
+  set(m, "msv_fleet_shard_accepted", t.accepted, labels);
+  set(m, "msv_fleet_shard_shed", t.shed, labels);
+  set(m, "msv_fleet_shard_completed", t.completed, labels);
+  set(m, "msv_fleet_shard_failed", t.failed, labels);
+  set(m, "msv_fleet_shard_retries", t.retries, labels);
+  set(m, "msv_fleet_shard_checkpoints", t.checkpoints, labels);
   set(m, "msv_fleet_shard_replicated_bytes", s.replicated_bytes, labels);
-  set(m, "msv_fleet_shard_restored", s.restored, labels);
+  set(m, "msv_fleet_shard_restored", t.restored, labels);
   set(m, "msv_fleet_shard_promotions", s.promotions, labels);
   set(m, "msv_fleet_shard_restarts", s.restarts, labels);
   set(m, "msv_fleet_shard_recovery_cycles", s.recovery_cycles, labels);
-  set(m, "msv_fleet_shard_max_queue_depth", s.max_queue_depth, labels);
+  set(m, "msv_fleet_shard_max_queue_depth", t.max_queue_depth, labels);
 }
 
 void publish_tracer_self(MetricsRegistry& m, const Tracer& tracer) {

@@ -32,12 +32,11 @@ struct RmiStats;
 struct GcHelperStats;
 }  // namespace msv::rmi
 namespace msv::server {
-struct ServerStats;
+struct RecoveryStats;
 struct TenantStats;
 }  // namespace msv::server
 namespace msv::fleet {
 struct FleetStats;
-struct ShardStats;
 }  // namespace msv::fleet
 
 namespace msv::telemetry {
@@ -57,7 +56,9 @@ void publish_rmi(MetricsRegistry& metrics, const rmi::RmiStats& stats);
 void publish_gc_helper(MetricsRegistry& metrics,
                        const rmi::GcHelperStats& stats,
                        const std::string& side);
-void publish_server(MetricsRegistry& metrics, const server::ServerStats& stats);
+// Server totals (msv_server_*): `totals` is RequestServer::totals().
+void publish_server(MetricsRegistry& metrics,
+                    const server::TenantStats& totals);
 void publish_tenant(MetricsRegistry& metrics, const server::TenantStats& stats,
                     std::uint32_t tenant);
 
@@ -67,7 +68,9 @@ void publish_tenant(MetricsRegistry& metrics, const server::TenantStats& stats,
 // cycles. The router pairs these with its own ring-rebalance gauge.
 void publish_fleet(MetricsRegistry& metrics, const fleet::FleetStats& stats);
 void publish_fleet_shard(MetricsRegistry& metrics,
-                         const fleet::ShardStats& stats, std::uint32_t shard);
+                         const server::TenantStats& totals,
+                         const server::RecoveryStats& stats,
+                         std::uint32_t shard);
 
 // The tracer's own accounting (spans recorded/started/dropped), so drop
 // counters are visible in the same dump the drops would bias.

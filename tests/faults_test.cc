@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "apps/illustrative/bank.h"
@@ -19,6 +21,7 @@
 #include "sgx/sealing.h"
 #include "sim/env.h"
 #include "support/error.h"
+#include "telemetry/telemetry.h"
 
 namespace msv {
 namespace {
@@ -381,7 +384,7 @@ TEST(ServerRecoveryTest, RestartRestoresSealedCheckpoints) {
   EXPECT_EQ(app.enclave().epoch(), 2u);
   EXPECT_EQ(srv.tenant_stats(0).restored, 1u);
   EXPECT_EQ(srv.tenant_stats(1).restored, 1u);
-  EXPECT_EQ(srv.stats().failed, 0u);
+  EXPECT_EQ(srv.totals().failed, 0u);
   srv.stop();
 }
 
@@ -464,6 +467,83 @@ TEST(ServerRecoveryTest, RetryBudgetExhaustionFailsTheRequest) {
   srv.stop();
 }
 
+TEST(ServerRecoveryTest, FailedCheckpointReadNeverReusesASequenceNumber) {
+  // Three deposits, a checkpoint after each, and the second checkpoint's
+  // balance read fails. The IV of a sealed checkpoint is (seq << 8) |
+  // tenant under a key that survives restarts, so a sequence number sealed
+  // twice would encrypt two balances with one keystream.
+  //
+  // A traced fault-free run finds the instant that read enters its
+  // transition (tracing never moves the clock); the measured run fails the
+  // transition starting there.
+  Cycles read_start = 0;
+  {
+    core::AppConfig traced;
+    traced.trace.mode = telemetry::TraceMode::kFull;
+    core::PartitionedApp app(apps::build_bank_app(), 1, traced);
+    sched::Scheduler sched(app.env());
+    server::RequestServer srv(sched, app, recovery_config(1));
+    srv.start();
+    Cycles second = 0;
+    sched.spawn("client", [&] {
+      srv.submit_and_wait(0, deposit(10));
+      second = app.env().clock.now();
+      srv.submit_and_wait(0, deposit(10));
+    });
+    sched.run();
+    srv.stop();
+    const telemetry::Tracer& tr = app.env().telemetry.tracer();
+    for (const telemetry::SpanRecord& s : tr.spans()) {
+      const std::string& name = tr.name(s.name);
+      if (s.start >= second && name.rfind("ecall_relay_", 0) == 0 &&
+          name.find("getBalance") != std::string::npos &&
+          (read_start == 0 || s.start < read_start)) {
+        read_start = s.start;
+      }
+    }
+  }
+  ASSERT_GT(read_start, 0u);
+
+  core::PartitionedApp app(apps::build_bank_app(), 1, {});
+  sched::Scheduler sched(app.env());
+  server::RequestServer srv(sched, app, recovery_config(1));
+  srv.start();
+  FaultPlan plan;
+  plan.add({read_start, FaultKind::kTransitionFailure, 0});
+  FaultInjector injector(app.env(), std::move(plan));
+  injector.arm(app.enclave());
+  app.bridge().attach_fault_injector(&injector);
+  std::vector<std::vector<std::uint8_t>> blobs;
+  sched.spawn("client", [&] {
+    for (int i = 0; i < 3; ++i) {
+      srv.submit_and_wait(0, deposit(10));
+      blobs.push_back(srv.tenant_state(0).checkpoint);
+    }
+  });
+  sched.run();
+  app.bridge().attach_fault_injector(nullptr);
+
+  EXPECT_EQ(injector.stats().transition_failures, 1u);
+  EXPECT_EQ(srv.tenant_stats(0).retries, 0u) << "no request absorbed it";
+  EXPECT_EQ(srv.tenant_stats(0).completed, 3u);
+  EXPECT_EQ(srv.tenant_stats(0).checkpoints, 2u) << "the second one failed";
+  ASSERT_EQ(blobs.size(), 3u);
+  EXPECT_EQ(blobs[1], blobs[0]) << "a failed checkpoint keeps the last blob";
+  const sgx::SealingPlatform sealer(server::RecoveryConfig{}.platform_secret);
+  std::uint64_t last_seq = 0;
+  std::set<std::vector<std::uint8_t>> ivs;
+  for (const std::size_t i : {0u, 2u}) {
+    const sgx::SealedBlob blob = sgx::SealedBlob::deserialize(blobs[i]);
+    EXPECT_TRUE(ivs.insert(blob.iv).second) << "an IV was sealed twice";
+    const std::uint64_t seq = server::TenantState::decode_payload(
+                                  sealer.unseal(app.enclave(), blob), 0)
+                                  .seq;
+    EXPECT_GT(seq, last_seq);
+    last_seq = seq;
+  }
+  srv.stop();
+}
+
 TEST(ServerRecoveryTest, CorruptCheckpointIsRejectedAndFallsBack) {
   core::PartitionedApp app(apps::build_bank_app(), 1, {});
   sched::Scheduler sched(app.env());
@@ -531,7 +611,7 @@ TEST(FleetRecoveryTest, PromotionBeatsRestartLadderOnRecoveryLatency) {
       server::Request dep;
       dep.op = server::RequestOp::kDeposit;
       for (int i = 0; i < 3; ++i) router.submit_and_wait(0, dep);
-      router.shard(0).active_app().enclave().mark_lost();
+      router.shard(0).app().enclave().mark_lost();
       router.submit_and_wait(0, dep);  // triggers the recovery path
     });
     sched.run();

@@ -14,7 +14,6 @@
 #include "fleet/load.h"
 #include "fleet/ring.h"
 #include "fleet/router.h"
-#include "fleet/shard.h"
 #include "rmi/proxy_runtime.h"
 #include "sched/scheduler.h"
 #include "server/tenant_state.h"
@@ -208,14 +207,14 @@ TEST(FleetShardTest, EnclaveLossPromotesTheWarmStandby) {
     for (int i = 0; i < 5; ++i) rig.router.submit_and_wait(tenant, dep);
     // Lose the authority; with checkpoint_every=1 the replica stream has
     // every deposit, so nothing is lost across the promotion.
-    rig.router.shard(k).active_app().enclave().mark_lost();
+    rig.router.shard(k).app().enclave().mark_lost();
     for (int i = 0; i < 5; ++i) rig.router.submit_and_wait(tenant, dep);
     server::Request bal;
     bal.op = server::RequestOp::kBalance;
     EXPECT_EQ(rig.router.submit_and_wait(tenant, bal), 100 + 10 * 7);
   });
   rig.sched.run();
-  const fleet::ShardStats& s = rig.router.shard(k).stats();
+  const server::RecoveryStats& s = rig.router.shard(k).stats();
   EXPECT_EQ(s.promotions, 1u);
   EXPECT_EQ(s.restarts, 0u) << "a warm standby means no inline restart";
   // The background rebuild re-measured the lost enclave into the next
@@ -235,7 +234,7 @@ TEST(FleetShardTest, WithoutReplicationLossFallsBackToRestart) {
     dep.op = server::RequestOp::kDeposit;
     dep.amount = 3;
     for (int i = 0; i < 4; ++i) rig.router.submit_and_wait(tenant, dep);
-    rig.router.shard(k).active_app().enclave().mark_lost();
+    rig.router.shard(k).app().enclave().mark_lost();
     for (int i = 0; i < 4; ++i) rig.router.submit_and_wait(tenant, dep);
     server::Request bal;
     bal.op = server::RequestOp::kBalance;

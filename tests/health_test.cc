@@ -12,7 +12,6 @@
 
 #include "apps/illustrative/bank.h"
 #include "fleet/router.h"
-#include "fleet/shard.h"
 #include "sched/scheduler.h"
 #include "sim/env.h"
 #include "support/clock.h"
@@ -284,7 +283,7 @@ Cycles run_loss_storm(HealthRig& rig) {
       for (int i = 0; i < 3; ++i) rig.router.submit_and_wait(t, dep);
     }
     const std::uint32_t victim = rig.router.shard_of(1);
-    rig.router.shard(victim).active_app().enclave().mark_lost();
+    rig.router.shard(victim).app().enclave().mark_lost();
     for (std::uint32_t t = 0; t < 8; ++t) {
       for (int i = 0; i < 3; ++i) rig.router.submit_and_wait(t, dep);
     }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "apps/illustrative/bank.h"
@@ -511,9 +512,9 @@ TEST(RequestServer, OpenLoopIsDeterministic) {
 }
 
 TEST(RequestServer, SwitchlessModeServesThroughRings) {
-  server::ServerConfig cfg;
-  cfg.switchless = true;
-  ServerRig rig(2, cfg);
+  core::AppConfig app_cfg;
+  app_cfg.switchless_relays = true;
+  ServerRig rig(2, {}, app_cfg);
   server::LoadHarness harness(rig.srv);
   server::ClosedLoopSpec spec;
   spec.clients_per_tenant = 2;
@@ -524,6 +525,27 @@ TEST(RequestServer, SwitchlessModeServesThroughRings) {
   EXPECT_GT(stats.switchless_enqueued, 0u)
       << "relay transitions went through the worker rings";
   rig.srv.stop();
+}
+
+TEST(RequestServer, SwitchlessRelaysFlagExactlyTheRelayTransitions) {
+  // AppConfig::switchless_relays is the one switch: the app must flag
+  // every relay transition the bridge interned — each ecall_relay_* and
+  // ocall_relay_* call — and nothing else.
+  core::AppConfig app_cfg;
+  app_cfg.switchless_relays = true;
+  core::PartitionedApp app(apps::build_bank_app(), 2, app_cfg);
+  const auto& names = app.bridge().call_names();
+  std::set<CallId> flagged;
+  std::set<CallId> relays;
+  for (CallId id = 0; id < names.size(); ++id) {
+    if (app.bridge().is_switchless(id)) flagged.insert(id);
+    if (names[id].rfind("ecall_relay_", 0) == 0 ||
+        names[id].rfind("ocall_relay_", 0) == 0) {
+      relays.insert(id);
+    }
+  }
+  EXPECT_FALSE(relays.empty());
+  EXPECT_EQ(flagged, relays);
 }
 
 }  // namespace

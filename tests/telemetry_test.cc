@@ -141,8 +141,8 @@ TEST(TelemetryAdapters, EpcStatsRoundTrip) {
   EXPECT_EQ(m.find("msv_epc_evictions")->counter.value, 1u);
 }
 
-TEST(TelemetryAdapters, ServerStatsRoundTrip) {
-  server::ServerStats s;
+TEST(TelemetryAdapters, ServerTotalsRoundTrip) {
+  server::TenantStats s;
   s.accepted = 20;
   s.shed = 3;
   s.completed = 17;

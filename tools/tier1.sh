@@ -35,12 +35,17 @@ done
 "$BUILD_DIR"/bench/abl_rmi_batch --smoke \
   --json="$BUILD_DIR"/BENCH_rmi_batch.json > /dev/null
 
-# Fault-storm smoke (DESIGN.md §12): a seeded loss/transition/EPC/TCS/
+# Fault storm (DESIGN.md §12): a seeded loss/transition/EPC/TCS/
 # corruption storm through the serving layer, run twice — the binary
 # aborts unless both runs agree bit-for-bit on clocks and counters, and
-# unless the server stays partially available under the storm.
-"$BUILD_DIR"/bench/fig_faults --smoke \
-  --json="$BUILD_DIR"/BENCH_faults.json > /dev/null
+# unless the server stays partially available under the storm. Full size
+# (a fraction of a second), the scale BENCH_faults.json was recorded at.
+"$BUILD_DIR"/bench/fig_faults --json="$BUILD_DIR"/BENCH_faults.json > /dev/null
+
+# Request-server figure (DESIGN.md §8) at full size, the scale
+# BENCH_server.json was recorded at: load, TCS, switchless and coalescing
+# sweeps plus its own two-run determinism check.
+"$BUILD_DIR"/bench/fig_server --json="$BUILD_DIR"/BENCH_server.json > /dev/null
 
 # Fleet smoke (DESIGN.md §14 + §16): 64 Zipfian tenants over a sharded
 # enclave fleet — ring routing, a loss storm served by warm-standby
@@ -67,6 +72,7 @@ done
 tools/bench_diff.py BENCH_fleet.json "$BUILD_DIR"/BENCH_fleet.json
 tools/bench_diff.py BENCH_health.json "$BUILD_DIR"/BENCH_fleet.json
 tools/bench_diff.py BENCH_faults.json "$BUILD_DIR"/BENCH_faults.json
+tools/bench_diff.py BENCH_server.json "$BUILD_DIR"/BENCH_server.json
 tools/bench_diff.py BENCH_rmi_batch.json "$BUILD_DIR"/BENCH_rmi_batch.json
 
 # msvlint must stay clean over the whole example/app corpus — including
