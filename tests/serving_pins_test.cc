@@ -19,7 +19,9 @@
 #include "server/harness.h"
 #include "server/server.h"
 #include "sgx/bridge.h"
+#include "sgx/epc.h"
 #include "sim/env.h"
+#include "support/sha256.h"
 
 namespace msv {
 namespace {
@@ -211,6 +213,30 @@ TEST(ServingPins, UnreplicatedFleetTakesTheRestartLadder) {
                  .ecalls = 562,
                  .ocalls = 0,
                  .tcs_waits = 0});
+}
+
+// (d) The launch perfbench `serve` times as set-up: eight tenants on one
+// enclave, a scheduler and a started server (one session proxy per
+// tenant). Host-side launch work may be restructured freely; the
+// simulated launch may not move a cycle, page or byte.
+TEST(ServingPins, EightTenantLaunch) {
+  core::PartitionedApp app(apps::build_bank_app(), 8);
+  const Cycles build_cycles = app.env().clock.now();
+  sched::Scheduler sched(app.env());
+  server::RequestServer srv(sched, app, server::ServerConfig{});
+  srv.start();
+  const sgx::EpcStats& epc = app.enclave().epc().stats();
+  EXPECT_EQ(build_cycles, 49'186'608u);
+  EXPECT_EQ(app.env().clock.now(), 53'449'048u);
+  EXPECT_EQ(epc.accesses, 2'072u);
+  EXPECT_EQ(epc.faults, 2'064u);
+  EXPECT_EQ(epc.evictions, 0u);
+  EXPECT_EQ(app.enclave().epc().resident_pages(), 2'064u);
+  EXPECT_EQ(app.bridge().stats().ecalls, 8u);
+  EXPECT_EQ(app.bridge().stats().ocalls, 0u);
+  EXPECT_EQ(Sha256::hex(app.enclave().measurement()),
+            "a27ac6962c91871b9f840d7dc7c936ec"
+            "1c13bc23518e62ac574d98a87f14c273");
 }
 
 }  // namespace

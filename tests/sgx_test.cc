@@ -2,6 +2,7 @@
 // EDL/Edger8r generation and attestation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <list>
 #include <unordered_map>
 #include <vector>
@@ -236,26 +237,36 @@ class ReferenceEpc {
 };
 
 TEST(Epc, MatchesReferenceLruOnRandomSequences) {
-  // Seeded random operation mixes over small EPCs (1-64 pages) and 1-6
-  // regions. The key pool includes the extreme key (2^24-1, 2^40-1), one
-  // region touched at pages 0 and 2^39, and runs that cross a 512-page
-  // boundary. After every operation the clock, all five counters, the
-  // resident count and the conservation check must equal the reference's;
-  // an LRU-order slip shows up as a fault or eviction count that drifts.
+  // Seeded random operation mixes over EPCs of 1-64 pages (every other
+  // trial: 1,100-2,200 pages, so whole runs fit) and 1-6 regions. The key
+  // pool includes the extreme key (2^24-1, 2^40-1), one region touched at
+  // pages 0 and 2^39, and accesses that cross a 512-page boundary. Runs
+  // of 1-1,100 pages go through EnclaveDomain::touch_pages: they start
+  // cold, on resident pages or across a 512-page chunk, some under
+  // set_limit / set_reserved_pages pressure and some inside
+  // measure_detached, whose cycles the reference charges to its clock.
+  // After every operation the clock, all five counters, the resident
+  // count and the conservation check must equal the reference's; an
+  // LRU-order slip shows up as a fault or eviction count that drifts.
   constexpr std::uint64_t kExtremeRegion = (1ull << 24) - 1;
   constexpr std::uint64_t kExtremePage = (1ull << 40) - 1;
   constexpr int kTrials = 60;
   constexpr int kOpsPerTrial = 2000;
   Rng rng(2024);
-  std::uint64_t ops = 0;
+  std::uint64_t ops = 0, runs = 0, run_pages = 0;
   for (int trial = 0; trial < kTrials; ++trial) {
     Env env;
-    const std::uint64_t capacity = 1 + rng.next_below(64);
+    const std::uint64_t capacity = trial % 2 == 0
+                                       ? 1 + rng.next_below(64)
+                                       : 1100 + rng.next_below(1101);
     env.cost.epc_usable_bytes = capacity * env.cost.page_bytes;
-    EpcModel epc(env);
+    Enclave enclave(env, "epc", test_measurement(), /*image_bytes=*/4096);
+    EnclaveDomain domain(env, enclave);
+    EpcModel& epc = enclave.epc();
     ReferenceEpc ref(env.cost);
     ASSERT_EQ(epc.capacity_pages(), ref.capacity());
     const Cycles start = env.clock.now();
+    Cycles detached = 0;
 
     const std::uint64_t n_regions = 1 + rng.next_below(6);
     std::vector<std::uint64_t> regions;
@@ -272,14 +283,49 @@ TEST(Epc, MatchesReferenceLruOnRandomSequences) {
       if (roll < 20) return 500 + rng.next_below(span);  // crosses 512
       return rng.next_below(span);
     };
+    // The last run, so a later one can revisit its (resident) pages.
+    std::uint64_t last_region = regions[0], last_first = 0, last_n = 0;
+    const auto run = [&](std::uint64_t region) {
+      const std::uint64_t roll = rng.next_below(100);
+      const std::uint64_t n = roll < 50 ? 1 + rng.next_below(16)
+                                        : 1 + rng.next_below(1100);
+      std::uint64_t first;
+      if (roll % 4 == 0 && last_n > 0) {
+        region = last_region;  // overlaps the previous run
+        first = last_first + rng.next_below(last_n);
+      } else if (roll % 4 == 1) {
+        const std::uint64_t boundary = 512 * (1 + rng.next_below(3));
+        first = boundary - std::min(boundary, 1 + rng.next_below(n));
+      } else {
+        first = rng.next_below(span);
+      }
+      if (region == kExtremeRegion && roll % 5 == 0) {
+        first = kExtremePage - (n - 1);  // ends on the extreme key
+      }
+      first = std::min(first, kExtremePage - (n - 1));
+      if (rng.next_below(4) == 0) {
+        detached += env.clock.measure_detached(
+            [&] { domain.touch_pages(region, first, n); });
+      } else {
+        domain.touch_pages(region, first, n);
+      }
+      for (std::uint64_t p = first; p < first + n; ++p) ref.access(region, p);
+      last_region = region;
+      last_first = first;
+      last_n = n;
+      ++runs;
+      run_pages += n;
+    };
 
     for (int i = 0; i < kOpsPerTrial; ++i, ++ops) {
       const std::uint64_t roll = rng.next_below(1000);
       const std::uint64_t region = regions[rng.next_below(n_regions)];
-      if (roll < 940) {
+      if (roll < 900) {
         const std::uint64_t page = pick_page(region);
         epc.access(region, page);
         ref.access(region, page);
+      } else if (roll < 940) {
+        run(region);
       } else if (roll < 960) {
         const std::uint64_t limit = 1 + rng.next_below(capacity + 2);
         epc.set_limit(limit);
@@ -295,7 +341,7 @@ TEST(Epc, MatchesReferenceLruOnRandomSequences) {
         epc.invalidate_all();
         ref.invalidate_all();
       }
-      ASSERT_EQ(env.clock.now() - start, ref.clock())
+      ASSERT_EQ(env.clock.now() - start + detached, ref.clock())
           << "trial " << trial << " op " << i;
       ASSERT_EQ(epc.stats().accesses, ref.stats().accesses);
       ASSERT_EQ(epc.stats().faults, ref.stats().faults)
@@ -308,6 +354,58 @@ TEST(Epc, MatchesReferenceLruOnRandomSequences) {
     }
   }
   EXPECT_GE(ops, 100'000u);
+  EXPECT_GE(runs, 4'000u);
+  EXPECT_GE(run_pages, 1'000'000u);
+}
+
+TEST(Epc, TracedRunsKeepOneSpanPerPageInAndPageOut) {
+  // With the EPC category traced, a run through touch_pages must leave
+  // the span sequence that page-by-page accesses leave: one page-in span
+  // per fault and one page-out span per eviction, each with its own
+  // charge, in the same order and at the same instants.
+  const auto traced_env = [](Env& env) {
+    env.cost.epc_usable_bytes = 600 * env.cost.page_bytes;
+    env.telemetry.configure({telemetry::TraceMode::kFull,
+                             telemetry::kAllCategories, 1u << 16});
+  };
+  Env by_run, by_page;
+  traced_env(by_run);
+  traced_env(by_page);
+  Enclave run_enclave(by_run, "epc", test_measurement(), 4096);
+  Enclave page_enclave(by_page, "epc", test_measurement(), 4096);
+  EnclaveDomain run_domain(by_run, run_enclave);
+  struct Run {
+    std::uint64_t region, first, n, limit;
+  };
+  // Cold runs that fit, a run crossing a chunk over resident pages, runs
+  // that evict, and runs under a shrunken limit.
+  const Run script[] = {{1, 0, 257, 600},   {2, 400, 300, 600},
+                        {1, 100, 500, 600}, {3, 0, 1100, 600},
+                        {2, 500, 40, 250},  {1, 0, 300, 250},
+                        {4, 511, 2, 600}};
+  for (const Run& r : script) {
+    run_enclave.epc().set_limit(r.limit);
+    page_enclave.epc().set_limit(r.limit);
+    run_domain.touch_pages(r.region, r.first, r.n);
+    for (std::uint64_t p = r.first; p < r.first + r.n; ++p) {
+      page_enclave.epc().access(r.region, p);
+    }
+  }
+  EXPECT_EQ(by_run.clock.now(), by_page.clock.now());
+  EXPECT_GT(run_enclave.epc().stats().evictions, 0u);
+  const auto& got = by_run.telemetry.tracer().spans();
+  const auto& want = by_page.telemetry.tracer().spans();
+  ASSERT_EQ(got.size(), want.size());
+  ASSERT_EQ(got.size(), run_enclave.epc().stats().faults +
+                            run_enclave.epc().stats().evictions);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(by_run.telemetry.tracer().name(got[i].name),
+              by_page.telemetry.tracer().name(want[i].name))
+        << "span " << i;
+    EXPECT_EQ(got[i].category, telemetry::Category::kEpc);
+    EXPECT_EQ(got[i].start, want[i].start) << "span " << i;
+    EXPECT_EQ(got[i].end, want[i].end) << "span " << i;
+  }
 }
 
 TEST(Epc, OutOfRangeIndicesAreRejectedNotAliased) {
