@@ -41,7 +41,7 @@ Cycles sweep_working_set(std::uint64_t epc_bytes,
   enclave.init(Sha256::hash("img"));
   sgx::EnclaveDomain domain(env, enclave);
 
-  const std::uint64_t region = domain.register_region("working-set");
+  const std::uint64_t region = domain.register_region();
   const std::uint64_t pages = working_set_bytes / cost.page_bytes;
   const Cycles t0 = env.clock.now();
   for (int p = 0; p < passes; ++p) {

@@ -45,7 +45,7 @@ SweepPoint sweep(std::uint64_t epc_bytes, std::uint64_t ws_pages,
   sgx::Enclave enclave(env, "stress-epc", Sha256::hash("img"), 4096);
   enclave.init(Sha256::hash("img"));
   sgx::EnclaveDomain domain(env, enclave);
-  const std::uint64_t region = domain.register_region("working-set");
+  const std::uint64_t region = domain.register_region();
 
   bench::stress::Rng rng(7);
   const bench::stress::Zipf zipf(ws_pages, 1.1);
@@ -83,7 +83,7 @@ void shrink_mid_run(bench::JsonReport& report, std::uint64_t epc_bytes,
   sgx::Enclave enclave(env, "stress-epc-shrink", Sha256::hash("img"), 4096);
   enclave.init(Sha256::hash("img"));
   sgx::EnclaveDomain domain(env, enclave);
-  const std::uint64_t region = domain.register_region("working-set");
+  const std::uint64_t region = domain.register_region();
   sgx::EpcModel& epc = enclave.epc();
 
   const std::uint64_t pages = epc.effective_capacity_pages();

@@ -55,8 +55,7 @@ std::vector<double> GraphChiEngine::run(const ShardingResult& sharding,
                                         std::uint32_t iterations,
                                         const std::string& prefix) {
   const std::string vdata_path = prefix + ".vdata";
-  const std::uint64_t buffer_region =
-      domain_.register_region(prefix + "/membudget");
+  const std::uint64_t buffer_region = domain_.register_region();
   const std::uint64_t buffer_pages =
       config_.membudget_bytes / env_.cost.page_bytes;
   const std::vector<std::uint32_t> out_degree =

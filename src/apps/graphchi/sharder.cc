@@ -79,8 +79,7 @@ ShardingResult FastSharder::shard(const std::string& edge_file,
   // budget and sweeps them twice (bucket pass + sort pass); inside the
   // enclave the working set exceeds the EPC and pages.
   constexpr std::uint64_t kShuffleBufferBytes = 110ull << 20;
-  const std::uint64_t buffer_region =
-      domain_.register_region(prefix + "/shuffle");
+  const std::uint64_t buffer_region = domain_.register_region();
   const std::uint64_t buffer_pages =
       kShuffleBufferBytes / env_.cost.page_bytes;
   for (int pass = 0; pass < 2; ++pass) {

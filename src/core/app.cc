@@ -199,10 +199,14 @@ void PartitionedApp::build(const model::AppModel& app,
   enclave_shim_ = std::make_unique<shim::EnclaveShim>(
       env_, *bridge_, *host_io_, *trusted_domain_);
   enclave_shim_->register_ocalls();
+  // Every trusted isolate runs the one trusted image: its contexts share
+  // the image's lookup tables.
+  trusted_tables_ =
+      std::make_unique<const interp::ImageTables>(trusted_image_.classes);
   std::vector<interp::ExecContext*> trusted_ptrs;
   for (auto& iso : trusted_isos_) {
     trusted_ctxs_.push_back(std::make_unique<interp::ExecContext>(
-        env_, *iso, trusted_image_.classes, *enclave_shim_, intrinsics));
+        env_, *iso, *trusted_tables_, *enclave_shim_, intrinsics));
     trusted_ctxs_.back()->set_verify_bytecode(config_.verify_bytecode);
     trusted_ptrs.push_back(trusted_ctxs_.back().get());
   }

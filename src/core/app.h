@@ -199,6 +199,8 @@ class PartitionedApp {
   std::unique_ptr<sgx::TransitionBridge> bridge_;
   std::unique_ptr<shim::HostIo> host_io_;
   std::unique_ptr<shim::EnclaveShim> enclave_shim_;
+  // The trusted image's lookup tables, shared by every trusted context.
+  std::unique_ptr<const interp::ImageTables> trusted_tables_;
   std::vector<std::unique_ptr<interp::ExecContext>> trusted_ctxs_;
   std::unique_ptr<interp::ExecContext> untrusted_ctx_;
   std::unique_ptr<rmi::ProxyRuntime> rmi_;

@@ -15,16 +15,9 @@ using rt::GcRef;
 using rt::Value;
 using rt::ValueType;
 
-ExecContext::ExecContext(Env& env, rt::Isolate& isolate,
-                         const model::AppModel& classes, shim::IoService& io,
-                         IntrinsicTable intrinsics)
-    : env_(env),
-      isolate_(isolate),
-      classes_(classes),
-      io_(io),
-      intrinsics_(std::move(intrinsics)) {
-  // Class ids are indices into the image's class table; they end up in
-  // object headers so class_of() can resolve a receiver.
+ImageTables::ImageTables(const model::AppModel& classes) : classes_(classes) {
+  class_ids_.reserve(classes_.classes().size());
+  class_table_.reserve(classes_.classes().size());
   for (const auto& c : classes_.classes()) {
     class_ids_.emplace(c.name(),
                        static_cast<std::uint32_t>(class_table_.size()));
@@ -32,18 +25,80 @@ ExecContext::ExecContext(Env& env, rt::Isolate& isolate,
   }
 }
 
-std::uint32_t ExecContext::class_id(const std::string& name) const {
+const std::uint32_t* ImageTables::find_class_id(std::string_view name) const {
   const auto it = class_ids_.find(name);
-  if (it == class_ids_.end()) {
+  return it == class_ids_.end() ? nullptr : &it->second;
+}
+
+const ClassDecl& ImageTables::class_by_id(std::uint32_t id) const {
+  MSV_CHECK_MSG(id < class_table_.size(), "bad class id");
+  return *class_table_[id];
+}
+
+const MethodDecl* ImageTables::resolve_method(const ClassDecl& cls,
+                                              std::string_view method) const {
+  auto it = method_index_.find(&cls);
+  if (it == method_index_.end()) {
+    MethodIndex index;
+    index.reserve(cls.methods().size());
+    for (const auto& m : cls.methods()) index.emplace(m.name(), &m);
+    it = method_index_.emplace(&cls, std::move(index)).first;
+  }
+  const auto mit = it->second.find(method);
+  return mit == it->second.end() ? nullptr : mit->second;
+}
+
+QuickInfo ImageTables::quick_info(const MethodDecl& method) const {
+  const auto it = quick_.find(&method);
+  if (it != quick_.end()) return it->second;
+  QuickInfo info;
+  const auto& code = method.ir().code;
+  if (!method.is_static()) {
+    if (method.param_count() == 1 && code.size() == 4 &&
+        code[0].op == Op::kLoadLocal && code[0].a == 0 &&
+        code[1].op == Op::kLoadLocal && code[1].a == 1 &&
+        code[2].op == Op::kPutField && code[3].op == Op::kReturnVoid) {
+      info = {QuickKind::kSetter, static_cast<std::uint32_t>(code[2].a)};
+    } else if (method.param_count() == 0 && code.size() == 3 &&
+               code[0].op == Op::kLoadLocal && code[0].a == 0 &&
+               code[1].op == Op::kGetField && code[2].op == Op::kReturn) {
+      info = {QuickKind::kGetter, static_cast<std::uint32_t>(code[1].a)};
+    }
+  }
+  quick_.emplace(&method, info);
+  return info;
+}
+
+ExecContext::ExecContext(Env& env, rt::Isolate& isolate,
+                         const model::AppModel& classes, shim::IoService& io,
+                         IntrinsicTable intrinsics)
+    : env_(env),
+      isolate_(isolate),
+      owned_tables_(std::make_unique<const ImageTables>(classes)),
+      tables_(*owned_tables_),
+      io_(io),
+      intrinsics_(std::move(intrinsics)) {}
+
+ExecContext::ExecContext(Env& env, rt::Isolate& isolate,
+                         const ImageTables& tables, shim::IoService& io,
+                         IntrinsicTable intrinsics)
+    : env_(env),
+      isolate_(isolate),
+      tables_(tables),
+      io_(io),
+      intrinsics_(std::move(intrinsics)) {}
+
+std::uint32_t ExecContext::class_id(const std::string& name) const {
+  const std::uint32_t* id = tables_.find_class_id(name);
+  if (id == nullptr) {
     throw RuntimeFault("class " + name + " is not part of image '" +
                        isolate_.name() + "' (pruned or never defined)");
   }
-  return it->second;
+  return *id;
 }
 
 const ClassDecl& ExecContext::class_by_id(std::uint32_t id) const {
-  MSV_CHECK_MSG(id < class_table_.size(), "bad class id");
-  return *class_table_[id];
+  return tables_.class_by_id(id);
 }
 
 const ClassDecl& ExecContext::class_of(const GcRef& obj) const {
@@ -52,22 +107,9 @@ const ClassDecl& ExecContext::class_of(const GcRef& obj) const {
   return class_by_id(isolate_.heap().class_id(obj.address()));
 }
 
-const MethodDecl* ExecContext::resolve_method(const ClassDecl& cls,
-                                              const std::string& method) const {
-  auto it = method_index_.find(&cls);
-  if (it == method_index_.end()) {
-    MethodIndex index;
-    index.reserve(cls.methods().size());
-    for (const auto& m : cls.methods()) index.emplace(m.name(), &m);
-    it = method_index_.emplace(&cls, std::move(index)).first;
-  }
-  const auto mit = it->second.find(std::string_view(method));
-  return mit == it->second.end() ? nullptr : mit->second;
-}
-
 rt::Value ExecContext::construct(const std::string& cls_name,
                                  std::vector<Value> args) {
-  const ClassDecl& cls = classes_.cls(cls_name);
+  const ClassDecl& cls = classes().cls(cls_name);
   if (cls.is_proxy()) {
     MSV_CHECK_MSG(remote_ != nullptr,
                   "proxy construction without an RMI layer: " + cls_name);
@@ -106,7 +148,7 @@ rt::Value ExecContext::invoke(const GcRef& receiver, const std::string& method,
 rt::Value ExecContext::invoke_static(const std::string& cls_name,
                                      const std::string& method,
                                      std::vector<Value> args) {
-  const ClassDecl& cls = classes_.cls(cls_name);
+  const ClassDecl& cls = classes().cls(cls_name);
   const MethodDecl* m = resolve_method(cls, method);
   if (m == nullptr || !m->is_static()) {
     throw RuntimeFault("no static method " + cls_name + "." + method);
@@ -115,9 +157,9 @@ rt::Value ExecContext::invoke_static(const std::string& cls_name,
 }
 
 rt::Value ExecContext::run_main(std::vector<Value> args) {
-  MSV_CHECK_MSG(!classes_.main_class().empty(),
+  MSV_CHECK_MSG(!classes().main_class().empty(),
                 "image '" + isolate_.name() + "' has no main class");
-  return invoke_static(classes_.main_class(), "main", std::move(args));
+  return invoke_static(classes().main_class(), "main", std::move(args));
 }
 
 std::string ExecContext::trace_to_json() const {
@@ -230,7 +272,7 @@ void ExecContext::ensure_verified(const ClassDecl& cls,
   auto it = verified_.find(&method);
   if (it == verified_.end()) {
     analysis::VerifyOptions opts;
-    opts.app = &classes_;
+    opts.app = &classes();
     opts.cls = &cls;
     opts.method = &method;
     const auto errors = analysis::verify(method.ir(), opts);
@@ -347,28 +389,6 @@ bool value_equals(const Value& a, const Value& b) {
 }
 
 }  // namespace
-
-ExecContext::QuickInfo ExecContext::quick_info(
-    const model::MethodDecl& method) const {
-  const auto it = quick_.find(&method);
-  if (it != quick_.end()) return it->second;
-  QuickInfo info;
-  const auto& code = method.ir().code;
-  if (!method.is_static()) {
-    if (method.param_count() == 1 && code.size() == 4 &&
-        code[0].op == Op::kLoadLocal && code[0].a == 0 &&
-        code[1].op == Op::kLoadLocal && code[1].a == 1 &&
-        code[2].op == Op::kPutField && code[3].op == Op::kReturnVoid) {
-      info = {QuickKind::kSetter, static_cast<std::uint32_t>(code[2].a)};
-    } else if (method.param_count() == 0 && code.size() == 3 &&
-               code[0].op == Op::kLoadLocal && code[0].a == 0 &&
-               code[1].op == Op::kGetField && code[2].op == Op::kReturn) {
-      info = {QuickKind::kGetter, static_cast<std::uint32_t>(code[1].a)};
-    }
-  }
-  quick_.emplace(&method, info);
-  return info;
-}
 
 rt::Value ExecContext::exec_ir(const ClassDecl& cls, const MethodDecl& method,
                                GcRef self, std::vector<Value>& args) {

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <string_view>
@@ -25,6 +26,52 @@
 
 namespace msv::interp {
 
+// Quickening classes of a kIr body (see ExecContext::quick_info).
+enum class QuickKind : std::uint8_t { kNone, kSetter, kGetter };
+struct QuickInfo {
+  QuickKind kind = QuickKind::kNone;
+  std::uint32_t field = 0;
+};
+
+// The lookup tables of one native image: the class index (a class id is
+// the class's position in the image's class set; ids end up in object
+// headers so class_of() can resolve a receiver) and the method-resolution
+// and quickening caches, filled on first use. Every context running the
+// image shares one instance — the trusted isolates of a multi-isolate
+// enclave all run the trusted image — so the first call into a second
+// isolate finds them warm. The image's class set must outlive the tables;
+// it is frozen after load, so the caches never go stale.
+class ImageTables {
+ public:
+  explicit ImageTables(const model::AppModel& classes);
+
+  ImageTables(const ImageTables&) = delete;
+  ImageTables& operator=(const ImageTables&) = delete;
+
+  const model::AppModel& classes() const { return classes_; }
+  // Null when `name` is not part of the image.
+  const std::uint32_t* find_class_id(std::string_view name) const;
+  const model::ClassDecl& class_by_id(std::uint32_t id) const;
+  // ClassDecl::find_method is a linear string scan, too slow for the
+  // invoke/RMI hot path; the per-class index is built on first use.
+  // Returns nullptr when absent.
+  const model::MethodDecl* resolve_method(const model::ClassDecl& cls,
+                                          std::string_view method) const;
+  // Classifies a kIr method, cached per decl.
+  QuickInfo quick_info(const model::MethodDecl& method) const;
+
+ private:
+  const model::AppModel& classes_;
+  // Keys view the ClassDecl / MethodDecl names, which live in deques.
+  std::unordered_map<std::string_view, std::uint32_t> class_ids_;
+  std::vector<const model::ClassDecl*> class_table_;
+  using MethodIndex =
+      std::unordered_map<std::string_view, const model::MethodDecl*>;
+  mutable std::unordered_map<const model::ClassDecl*, MethodIndex>
+      method_index_;
+  mutable std::unordered_map<const model::MethodDecl*, QuickInfo> quick_;
+};
+
 struct ExecStats {
   std::uint64_t method_calls = 0;
   std::uint64_t ir_ops = 0;
@@ -37,6 +84,10 @@ class ExecContext {
  public:
   // `classes` must outlive the context (it is the image's class set).
   ExecContext(Env& env, rt::Isolate& isolate, const model::AppModel& classes,
+              shim::IoService& io, IntrinsicTable intrinsics);
+  // The same over tables shared with the image's other contexts; `tables`
+  // must outlive the context.
+  ExecContext(Env& env, rt::Isolate& isolate, const ImageTables& tables,
               shim::IoService& io, IntrinsicTable intrinsics);
 
   ExecContext(const ExecContext&) = delete;
@@ -57,12 +108,12 @@ class ExecContext {
   const model::ClassDecl& class_by_id(std::uint32_t id) const;
   const model::ClassDecl& class_of(const rt::GcRef& obj) const;
 
-  // Cached method resolution: ClassDecl::find_method is a linear string
-  // scan, too slow for the invoke/RMI hot path. The per-class index is
-  // built on first use (after which the class is assumed frozen, like a
-  // loaded image). Returns nullptr when absent.
+  // Cached method resolution (ImageTables::resolve_method). Returns
+  // nullptr when absent.
   const model::MethodDecl* resolve_method(const model::ClassDecl& cls,
-                                          const std::string& method) const;
+                                          const std::string& method) const {
+    return tables_.resolve_method(cls, method);
+  }
 
   // ---- Execution ----
   // Allocates an instance of `cls` and runs its constructor (or builds a
@@ -84,14 +135,11 @@ class ExecContext {
   // targets (§6.3 measures "setter methods updating an object field") —
   // execute directly instead of through the generic IR loop.
   // Op counts and cycle charges replicate exec_ir exactly.
-  enum class QuickKind : std::uint8_t { kNone, kSetter, kGetter };
-  struct QuickInfo {
-    QuickKind kind = QuickKind::kNone;
-    std::uint32_t field = 0;
-  };
   // Classifies a kIr method (cached per decl; the image is frozen after
   // load, so registration-time classification is sound).
-  QuickInfo quick_info(const model::MethodDecl& method) const;
+  QuickInfo quick_info(const model::MethodDecl& method) const {
+    return tables_.quick_info(method);
+  }
 
   // Invokes a pre-classified quickened method (`q.kind != kNone`, `self`
   // non-null). Charges are identical to invoke_method on the same decl;
@@ -105,7 +153,7 @@ class ExecContext {
   Env& env() { return env_; }
   rt::Isolate& isolate() { return isolate_; }
   shim::IoService& io() { return io_; }
-  const model::AppModel& classes() const { return classes_; }
+  const model::AppModel& classes() const { return tables_.classes(); }
   const ExecStats& stats() const { return stats_; }
 
   // Charges pure CPU work.
@@ -186,20 +234,12 @@ class ExecContext {
 
   Env& env_;
   rt::Isolate& isolate_;
-  const model::AppModel& classes_;
+  std::unique_ptr<const ImageTables> owned_tables_;  // null when shared
+  const ImageTables& tables_;
   shim::IoService& io_;
   IntrinsicTable intrinsics_;
   RemoteInvoker* remote_ = nullptr;
-  std::unordered_map<std::string, std::uint32_t> class_ids_;
-  std::vector<const model::ClassDecl*> class_table_;
-  // Lazily built name -> decl index per class (string_views point into the
-  // stable MethodDecl names, methods live in a deque).
-  using MethodIndex =
-      std::unordered_map<std::string_view, const model::MethodDecl*>;
-  mutable std::unordered_map<const model::ClassDecl*, MethodIndex>
-      method_index_;
   std::vector<std::vector<rt::Value>> frame_pool_;
-  mutable std::unordered_map<const model::MethodDecl*, QuickInfo> quick_;
   ExecStats stats_;
   bool tracing_ = false;
   std::set<std::pair<std::string, std::string>> traced_;

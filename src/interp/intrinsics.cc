@@ -9,21 +9,26 @@
 namespace msv::interp {
 
 void IntrinsicTable::add(const std::string& name, IntrinsicFn fn) {
-  MSV_CHECK_MSG(table_.emplace(name, std::move(fn)).second,
+  // Copy on write: the map may be shared with other tables.
+  auto mine = std::make_shared<Map>(*table_);
+  MSV_CHECK_MSG(mine->emplace(name, std::move(fn)).second,
                 "duplicate intrinsic " + name);
+  table_ = std::move(mine);
 }
 
 bool IntrinsicTable::contains(const std::string& name) const {
-  return table_.count(name) != 0;
+  return table_->count(name) != 0;
 }
 
 const IntrinsicFn& IntrinsicTable::get(const std::string& name) const {
-  const auto it = table_.find(name);
-  MSV_CHECK_MSG(it != table_.end(), "unknown intrinsic " + name);
+  const auto it = table_->find(name);
+  MSV_CHECK_MSG(it != table_->end(), "unknown intrinsic " + name);
   return it->second;
 }
 
-IntrinsicTable IntrinsicTable::defaults() {
+namespace {
+
+IntrinsicTable build_defaults() {
   IntrinsicTable t;
 
   t.add("compute_fft", [](ExecContext& ctx, std::vector<rt::Value>& args) {
@@ -105,6 +110,13 @@ IntrinsicTable IntrinsicTable::defaults() {
   });
 
   return t;
+}
+
+}  // namespace
+
+IntrinsicTable IntrinsicTable::defaults() {
+  static const IntrinsicTable table = build_defaults();
+  return table;
 }
 
 }  // namespace msv::interp

@@ -8,6 +8,7 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,8 @@ class ExecContext;
 using IntrinsicFn =
     std::function<rt::Value(ExecContext&, std::vector<rt::Value>&)>;
 
+// Copies share one map until a copy add()s to it, so the nine execution
+// contexts of an eight-tenant app hold one default table between them.
 class IntrinsicTable {
  public:
   void add(const std::string& name, IntrinsicFn fn);
@@ -34,10 +37,13 @@ class IntrinsicTable {
   //   print(value)           — debug output (no-op cost-wise)
   //   str_concat(a, b)       — string concatenation
   //   to_string(v)           — number to string
+  // The table is a pure function of constants: it is built once per
+  // process, and every call returns a copy sharing it.
   static IntrinsicTable defaults();
 
  private:
-  std::map<std::string, IntrinsicFn> table_;
+  using Map = std::map<std::string, IntrinsicFn>;
+  std::shared_ptr<const Map> table_ = std::make_shared<const Map>();
 };
 
 }  // namespace msv::interp

@@ -753,7 +753,7 @@ void ProxyRuntime::run_relay(const RelaySite& site, SideState& callee,
     // invoke/invoke_static are resolve-then-invoke_method wrappers; with
     // the target pre-resolved the direct call charges identical cycles.
     // Only instance methods are ever quickened.
-    if (site.quick.kind != ExecContext::QuickKind::kNone) {
+    if (site.quick.kind != interp::QuickKind::kNone) {
       // Quickened bodies cannot nest relays, so holding the registry
       // reference across the invocation is safe (see get_ref).
       result = callee.ctx.invoke_quick(*site.cls, target, site.quick,
@@ -849,7 +849,7 @@ void ProxyRuntime::register_handlers() {
                           m.relay().target_method + " missing");
         // Classify the target for quickening once, here; per-call dispatch
         // then skips the classifier cache lookup entirely.
-        interp::ExecContext::QuickInfo quick{};
+        interp::QuickInfo quick{};
         if (target != nullptr && target->kind() == MethodKind::kIr) {
           quick = callee.ctx.quick_info(*target);
         }

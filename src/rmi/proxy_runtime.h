@@ -300,7 +300,7 @@ class ProxyRuntime final : public interp::RemoteInvoker,
     const model::MethodDecl* relay;
     const model::MethodDecl* target;  // null for constructor relays
     // The target's quickening classification, made at registration.
-    interp::ExecContext::QuickInfo quick;
+    interp::QuickInfo quick;
   };
 
   // Encodes [route] + self-hash + args into `buf` (empty on entry),

@@ -27,8 +27,8 @@ Heap::Heap(Env& env, MemoryDomain& domain, HandleTable& handles,
       weak_refs_(weak_refs),
       config_(std::move(config)),
       semi_bytes_(config_.max_bytes / 2),
-      region_a_(domain.register_region(config_.name + "/semispace-a")),
-      region_b_(domain.register_region(config_.name + "/semispace-b")),
+      region_a_(domain.register_region()),
+      region_b_(domain.register_region()),
       name_hash_(fnv1a32(config_.name)) {
   MSV_CHECK_MSG(semi_bytes_ >= 4096, "heap too small to be usable");
 }

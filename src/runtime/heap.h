@@ -80,6 +80,11 @@ class Heap {
     gc_observer_ = std::move(fn);
   }
 
+  // A semispace's first buffer, one page: a heap that stays within it (an
+  // isolate holding a session or two) zero-fills no more. A heap that
+  // outgrows it reserves the whole semispace.
+  static constexpr std::uint64_t kFirstChunkBytes = 1ull << 12;
+
   std::uint64_t used_bytes() const { return top_; }
   std::uint64_t semispace_bytes() const { return semi_bytes_; }
   const HeapStats& stats() const { return stats_; }
@@ -110,10 +115,6 @@ class Heap {
   // Copies the object at `addr` (from-space) to to-space if not already
   // forwarded; returns its new address.
   ObjAddr forward(ObjAddr addr, std::uint64_t& to_top);
-
-  // A semispace's first buffer; a heap that outgrows it reserves the
-  // whole semispace.
-  static constexpr std::uint64_t kFirstChunkBytes = 1ull << 16;
 
   static std::uint32_t tag_bytes(std::uint32_t count) {
     return (count + 7u) & ~7u;

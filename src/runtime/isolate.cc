@@ -13,8 +13,7 @@ Isolate::Isolate(Env& env, MemoryDomain& domain, Config config)
   // (§2.2): charge the mapping plus first-touch of its pages.
   if (config_.image_heap_bytes > 0) {
     env_.clock.advance(env_.cost.mmap_base_cycles);
-    const std::uint64_t region = domain_.register_region(config_.name +
-                                                         "/image-heap");
+    const std::uint64_t region = domain_.register_region();
     const std::uint64_t pages =
         (config_.image_heap_bytes + env_.cost.page_bytes - 1) /
         env_.cost.page_bytes;

@@ -1,8 +1,11 @@
 #include "sched/scheduler.h"
 
+#include <sys/mman.h>
 #include <ucontext.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <new>
 #include <utility>
 
 #include "support/error.h"
@@ -26,6 +29,56 @@
 
 namespace msv::sched {
 
+namespace {
+
+// A fiber stack: `bytes` (rounded up to whole pages) of anonymous memory
+// above one PROT_NONE guard page. MAP_NORESERVE leaves the pages
+// uncommitted until the fiber touches them, and the stack grows down
+// into the guard page, so an overflow faults at once.
+class FiberStack {
+ public:
+  FiberStack() = default;
+  explicit FiberStack(std::size_t bytes) {
+    static const std::size_t page =
+        static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    size_ = (bytes + page - 1) / page * page;
+    mapped_ = size_ + page;
+    void* m = mmap(nullptr, mapped_, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
+                   -1, 0);
+    if (m == MAP_FAILED) throw std::bad_alloc();
+    base_ = static_cast<char*>(m);
+    if (mprotect(base_, page, PROT_NONE) != 0) {
+      munmap(base_, mapped_);
+      throw std::bad_alloc();
+    }
+  }
+  ~FiberStack() {
+    if (base_ != nullptr) munmap(base_, mapped_);
+  }
+  FiberStack(FiberStack&& o) noexcept
+      : base_(std::exchange(o.base_, nullptr)),
+        mapped_(o.mapped_),
+        size_(o.size_) {}
+  FiberStack& operator=(FiberStack&& o) noexcept {
+    std::swap(base_, o.base_);
+    std::swap(mapped_, o.mapped_);
+    std::swap(size_, o.size_);
+    return *this;
+  }
+
+  // The usable range, above the guard page.
+  char* bottom() const { return base_ + (mapped_ - size_); }
+  std::size_t size() const { return size_; }
+
+ private:
+  char* base_ = nullptr;
+  std::size_t mapped_ = 0;
+  std::size_t size_ = 0;
+};
+
+}  // namespace
+
 struct Scheduler::Task {
   enum class State : std::uint8_t {
     kReady,
@@ -45,8 +98,7 @@ struct Scheduler::Task {
   std::uint64_t sleep_token = 0;  // invalidates stale heap entries
   std::vector<TaskId> joiners;
   std::exception_ptr error;
-  std::unique_ptr<char[]> stack;
-  std::size_t stack_size = 0;
+  FiberStack stack;  // mapped on first resume, unmapped when finished
   ucontext_t ctx{};
   void* asan_fake = nullptr;
 };
@@ -148,7 +200,7 @@ void Scheduler::run() {
     if (next_deadline(&next)) {
       MSV_CHECK(next >= env_.clock.now());
       stats_.idle_advanced_cycles += next - env_.clock.now();
-      // May fire VirtualClock timers; the loop re-examines queues after.
+      // The idle jump; the loop then promotes the sleepers now due.
       env_.clock.advance(next - env_.clock.now());
       // Ticks crossed by the idle jump belong to nobody's stack.
       if (sampler_ != nullptr) sampler_->poll_label("(idle)");
@@ -209,11 +261,10 @@ void Scheduler::resume(Task& t) {
   ++stats_.context_switches;
   if (!t.started) {
     t.started = true;
-    t.stack = std::make_unique<char[]>(config_.stack_bytes);
-    t.stack_size = config_.stack_bytes;
+    t.stack = FiberStack(config_.stack_bytes);
     MSV_CHECK(getcontext(&t.ctx) == 0);
-    t.ctx.uc_stack.ss_sp = t.stack.get();
-    t.ctx.uc_stack.ss_size = t.stack_size;
+    t.ctx.uc_stack.ss_sp = t.stack.bottom();
+    t.ctx.uc_stack.ss_size = t.stack.size();
     t.ctx.uc_link = nullptr;  // tasks exit through exit_task, never fall off
     makecontext(&t.ctx, &Scheduler::trampoline, 0);
   }
@@ -222,7 +273,7 @@ void Scheduler::resume(Task& t) {
   switch_into(t);
   current_ = kNoTask;
   if (t.state == Task::State::kFinished) {
-    t.stack.reset();
+    t.stack = FiberStack();
     if (t.error != nullptr && !cancelling_) {
       std::exception_ptr e = t.error;
       t.error = nullptr;
@@ -235,8 +286,8 @@ void Scheduler::switch_into(Task& t) {
   tramp_sched_ = this;
   tramp_task_ = &t;
 #if defined(MSV_ASAN_FIBERS)
-  __sanitizer_start_switch_fiber(&main_->asan_fake, t.stack.get(),
-                                 t.stack_size);
+  __sanitizer_start_switch_fiber(&main_->asan_fake, t.stack.bottom(),
+                                 t.stack.size());
 #endif
   swapcontext(&main_->ctx, &t.ctx);
 #if defined(MSV_ASAN_FIBERS)

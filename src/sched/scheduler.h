@@ -67,7 +67,10 @@ class Scheduler {
  public:
   struct Config {
     // Per-fiber stack. Interpreter recursion across nested RMI relays can
-    // go deep; 256 KiB matches the SGX stack ballpark and is plenty.
+    // go deep; 256 KiB matches the SGX stack ballpark and is plenty. The
+    // stack is mapped when the fiber first runs, committed page by page as
+    // it is touched, and sits above a PROT_NONE guard page, so an
+    // overflow faults instead of writing into a neighbouring allocation.
     std::size_t stack_bytes = 256 * 1024;
   };
 

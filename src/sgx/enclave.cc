@@ -87,10 +87,6 @@ void Enclave::restart(const Sha256::Digest& expected) {
   }
 }
 
-std::uint64_t EnclaveDomain::register_region(const std::string&) {
-  return next_region_++;
-}
-
 void EnclaveDomain::charge_traffic(std::uint64_t bytes) {
   // Same DRAM-level cost as outside, multiplied by the MEE factor: every
   // cache line crossing the CPU boundary is encrypted/decrypted.
@@ -101,9 +97,7 @@ void EnclaveDomain::charge_traffic(std::uint64_t bytes) {
 
 void EnclaveDomain::touch_pages(std::uint64_t region, std::uint64_t first_page,
                                 std::uint64_t n_pages) {
-  for (std::uint64_t i = 0; i < n_pages; ++i) {
-    enclave_.epc().access(region, first_page + i);
-  }
+  enclave_.epc().access(region, first_page, n_pages);
 }
 
 }  // namespace msv::sgx

@@ -115,7 +115,7 @@ class EnclaveDomain final : public MemoryDomain {
 
   bool trusted() const override { return true; }
 
-  std::uint64_t register_region(const std::string& name) override;
+  std::uint64_t register_region() override { return next_region_++; }
 
   void charge_traffic(std::uint64_t bytes) override;
 

@@ -1,5 +1,7 @@
 #include "sgx/epc.h"
 
+#include <algorithm>
+
 #include "support/error.h"
 
 namespace msv::sgx {
@@ -12,15 +14,7 @@ EpcModel::EpcModel(Env& env)
   MSV_CHECK_MSG(capacity_pages_ < kNoFrame, "EPC capacity out of range");
 }
 
-EpcModel::Key EpcModel::make_key(std::uint64_t region, std::uint64_t page) {
-  // Both halves must be range-checked: a region id >= 2^24 would shift
-  // bits off the top and silently alias another region's keys.
-  MSV_CHECK_MSG(region < (1ull << 24), "EPC region index out of range");
-  MSV_CHECK_MSG(page < (1ull << 40), "EPC page index out of range");
-  return (region << 40) | page;
-}
-
-std::uint32_t& EpcModel::slot_for(Key key) {
+EpcModel::Chunk& EpcModel::chunk_for(Key key) {
   const Key chunk_key = key >> kChunkShift;
   if (chunk_key != last_chunk_key_) {
     std::unique_ptr<Chunk>& chunk = chunks_[chunk_key];
@@ -31,7 +25,7 @@ std::uint32_t& EpcModel::slot_for(Key key) {
     last_chunk_key_ = chunk_key;
     last_chunk_ = chunk.get();
   }
-  return (*last_chunk_)[key & ((Key{1} << kChunkShift) - 1)];
+  return *last_chunk_;
 }
 
 void EpcModel::unlink(std::uint32_t f) {
@@ -58,62 +52,109 @@ void EpcModel::free_frame(std::uint32_t f) {
   --resident_;
 }
 
-void EpcModel::drain_to_capacity(std::uint64_t headroom) {
+std::uint64_t EpcModel::drain_to_capacity(std::uint64_t headroom,
+                                          bool traced) {
   // Each excess page charges its page-out exactly once, here: the lazy
   // eviction promised by set_reserved_pages / set_limit. With the
   // resident set within capacity this loop is a no-op, so the
   // no-pressure path stays byte-identical to the pre-limit model.
   const std::uint64_t cap = effective_capacity_pages();
+  std::uint64_t evicted = 0;
   while (resident_ + headroom > cap) {
     ++stats_.evictions;
-    telemetry::SpanScope span(env_.telemetry.tracer(),
-                              telemetry::Category::kEpc,
-                              env_.telemetry.names().epc_page_out);
-    env_.clock.advance(env_.cost.epc_page_out_cycles);
+    ++evicted;
+    if (traced) {
+      telemetry::SpanScope span(env_.telemetry.tracer(),
+                                telemetry::Category::kEpc,
+                                env_.telemetry.names().epc_page_out);
+      env_.clock.advance(env_.cost.epc_page_out_cycles);
+    }
     free_frame(lru_frame_);
   }
+  return evicted;
 }
 
-void EpcModel::access(std::uint64_t region, std::uint64_t page) {
-  ++stats_.accesses;
-  // The pressure drain runs before the lookup: a page beyond the
+void EpcModel::access(std::uint64_t region, std::uint64_t first,
+                      std::uint64_t n) {
+  if (n == 0) return;
+  // Both halves of every key must be range-checked: a region id >= 2^24
+  // would shift bits off the top and silently alias another region's
+  // keys. The run's pages are consecutive, so its ends bound them all.
+  MSV_CHECK_MSG(region < (1ull << 24), "EPC region index out of range");
+  MSV_CHECK_MSG(first < (1ull << 40) && n <= (1ull << 40) - first,
+                "EPC page index out of range");
+  stats_.accesses += n;
+  const bool traced =
+      env_.telemetry.tracer().enabled(telemetry::Category::kEpc);
+  // The pressure drain runs before each lookup: a page beyond the
   // (possibly just-shrunk) effective capacity cannot be EPC-resident, so
   // touching one must fault and page back in — treating it as a free hit
   // (the pre-set_limit behaviour) both skipped the eviction charge and
-  // left the resident count physically over capacity indefinitely.
-  drain_to_capacity(0);
-  const Key key = make_key(region, page);
-  std::uint32_t& slot = slot_for(key);
-  if (slot != kNoFrame) {
-    if (slot != mru_frame_) {
-      unlink(slot);
-      link_front(slot);
+  // left the resident count physically over capacity indefinitely. A run
+  // that fits never drains: before its i-th page at most
+  // capacity - n + i pages are resident, so neither the pre-access drain
+  // nor the drain that makes room for a page-in finds an excess.
+  const bool fits = resident_ + n <= effective_capacity_pages();
+  const std::uint64_t frames_needed =
+      std::min<std::uint64_t>(capacity_pages_, frames_.size() + n);
+  if (frames_needed > frames_.capacity()) {
+    frames_.reserve(std::min<std::uint64_t>(
+        capacity_pages_, std::max<std::uint64_t>(frames_needed,
+                                                 2 * frames_.capacity())));
+  }
+  std::uint64_t page_ins = 0;
+  std::uint64_t page_outs = 0;
+  constexpr Key kSlotMask = (Key{1} << kChunkShift) - 1;
+  // Counted, not bounded by an end key: the run may end on the last key,
+  // (2^24 - 1, 2^40 - 1), past which a key would wrap.
+  Key key = (region << 40) | first;
+  for (std::uint64_t left = n; left > 0;) {
+    Chunk& chunk = chunk_for(key);
+    std::uint64_t in_chunk =
+        std::min(left, kSlotMask + 1 - (key & kSlotMask));
+    left -= in_chunk;
+    for (; in_chunk > 0; --in_chunk, ++key) {
+      if (!fits) page_outs += drain_to_capacity(0, traced);
+      std::uint32_t& slot = chunk[key & kSlotMask];
+      if (slot != kNoFrame) {
+        if (slot != mru_frame_) {
+          unlink(slot);
+          link_front(slot);
+        }
+        continue;
+      }
+      // Miss: the driver pages the frame in, evicting the LRU page if
+      // full (at most one eviction here — the pre-access drain already
+      // clamped the set to capacity).
+      ++stats_.faults;
+      ++page_ins;
+      if (traced) {
+        telemetry::SpanScope span(env_.telemetry.tracer(),
+                                  telemetry::Category::kEpc,
+                                  env_.telemetry.names().epc_page_in);
+        env_.clock.advance(env_.cost.epc_page_in_cycles);
+      }
+      if (!fits) page_outs += drain_to_capacity(1, traced);
+      std::uint32_t f = free_;
+      if (f != kNoFrame) {
+        free_ = frames_[f].next;
+      } else {
+        f = static_cast<std::uint32_t>(frames_.size());
+        frames_.emplace_back();
+      }
+      frames_[f].key = key;
+      frames_[f].slot = &slot;
+      link_front(f);
+      slot = f;
+      ++resident_;
     }
-    return;
   }
-  // Miss: the driver pages the frame in, evicting the LRU page if full.
-  ++stats_.faults;
-  {
-    telemetry::SpanScope span(env_.telemetry.tracer(),
-                              telemetry::Category::kEpc,
-                              env_.telemetry.names().epc_page_in);
-    env_.clock.advance(env_.cost.epc_page_in_cycles);
+  // Charges are additive (VirtualClock::advance is a plain add), so one
+  // charge for the run equals the per-page charges it stands for.
+  if (!traced) {
+    env_.clock.advance(page_ins * env_.cost.epc_page_in_cycles +
+                       page_outs * env_.cost.epc_page_out_cycles);
   }
-  // Make room for the incoming page (at most one eviction here — the
-  // pre-access drain already clamped the set to capacity).
-  drain_to_capacity(1);
-  std::uint32_t f = free_;
-  if (f != kNoFrame) {
-    free_ = frames_[f].next;
-  } else {
-    f = static_cast<std::uint32_t>(frames_.size());
-    frames_.emplace_back();
-  }
-  frames_[f].key = key;
-  frames_[f].slot = &slot;
-  link_front(f);
-  slot = f;
-  ++resident_;
 }
 
 void EpcModel::invalidate_all() {

@@ -31,8 +31,21 @@ class EpcModel {
   // Capacity is taken from env.cost (epc_usable_bytes / page_bytes).
   explicit EpcModel(Env& env);
 
-  // Notes an access to `page` of `region`, charging fault/eviction costs.
-  void access(std::uint64_t region, std::uint64_t page);
+  // Notes an access to `page` of `region`, charging fault/eviction costs:
+  // a run of one page.
+  void access(std::uint64_t region, std::uint64_t page) {
+    access(region, page, 1);
+  }
+
+  // Notes accesses to pages [first, first + n) of `region`, in order. The
+  // simulated outcome is that of n single-page accesses — the same LRU
+  // order, counters and cycles — but the run range-checks its keys once,
+  // looks up one page-table chunk per 512 pages and grows the frame
+  // vector at most once. A run that fits (resident + n within the
+  // effective capacity) evicts nothing, so it skips the per-page drain.
+  // Untraced, the run's page-ins and page-outs are one clock charge;
+  // with the EPC category traced each keeps its own span and charge.
+  void access(std::uint64_t region, std::uint64_t first, std::uint64_t n);
 
   // Drops all pages of `region` (e.g. a GC semispace that was released);
   // no cost — the driver just reclaims the EPC pages.
@@ -81,7 +94,6 @@ class EpcModel {
 
  private:
   using Key = std::uint64_t;  // (region << 40) | page
-  static Key make_key(std::uint64_t region, std::uint64_t page);
 
   // The page table is two-level: Key >> kChunkShift names a chunk of
   // 512 frame indices, so a run of pages in one region costs one
@@ -101,17 +113,18 @@ class EpcModel {
     std::uint32_t next = kNoFrame;
   };
 
-  // The page-table slot of `key`, allocating its chunk on first use.
-  std::uint32_t& slot_for(Key key);
+  // The page-table chunk holding `key`'s slot, allocated on first use.
+  Chunk& chunk_for(Key key);
   void unlink(std::uint32_t f);
   void link_front(std::uint32_t f);
   // Unlinks frame `f`, clears its slot and puts it on the free list.
   void free_frame(std::uint32_t f);
 
   // Evicts LRU pages until the resident set fits the effective capacity
-  // (strictly, or leaving `headroom` free frames), charging page-out per
-  // page.
-  void drain_to_capacity(std::uint64_t headroom);
+  // (strictly, or leaving `headroom` free frames) and returns how many
+  // it evicted. Traced, each page-out opens its span and charges the
+  // clock; untraced, the caller charges them with the run.
+  std::uint64_t drain_to_capacity(std::uint64_t headroom, bool traced);
 
   Env& env_;
   std::uint64_t capacity_pages_;
@@ -126,7 +139,7 @@ class EpcModel {
   std::uint32_t free_ = kNoFrame;
   std::uint64_t resident_ = 0;
   std::unordered_map<Key, std::unique_ptr<Chunk>> chunks_;
-  // The chunk of the last lookup: sequential touches skip the directory.
+  // The chunk of the last lookup: consecutive runs skip the directory.
   Key last_chunk_key_ = ~Key{0};
   Chunk* last_chunk_ = nullptr;
   EpcStats stats_;

@@ -15,7 +15,7 @@ MappedFile::MappedFile(Env& env, MemoryDomain& domain,
       data_(std::move(data)),
       path_(std::move(path)),
       fetch_page_(std::move(fetch_page)),
-      region_(domain_.register_region("mmap:" + path_)),
+      region_(domain_.register_region()),
       touched_((data_->size() + env.cost.page_bytes - 1) / env.cost.page_bytes,
                false) {
   env_.clock.advance(env_.cost.mmap_base_cycles);

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "sim/env.h"
 
@@ -26,7 +25,7 @@ class MemoryDomain {
 
   // Registers a contiguous region (a heap semispace, a mapped file, ...).
   // Returns a region id used by touch_pages.
-  virtual std::uint64_t register_region(const std::string& name) = 0;
+  virtual std::uint64_t register_region() = 0;
 
   // Charges DRAM-level memory traffic of `bytes` (reads+writes that miss
   // the cache). Trusted domains multiply by the MEE factor.
@@ -52,9 +51,7 @@ class UntrustedDomain final : public MemoryDomain {
 
   bool trusted() const override { return false; }
 
-  std::uint64_t register_region(const std::string&) override {
-    return next_region_++;
-  }
+  std::uint64_t register_region() override { return next_region_++; }
 
   void charge_traffic(std::uint64_t bytes) override {
     env_.clock.advance(static_cast<Cycles>(static_cast<double>(bytes) *

@@ -1,37 +1,6 @@
 #include "support/clock.h"
 
-#include <algorithm>
-
-#include "support/error.h"
-
 namespace msv {
-
-void VirtualClock::advance(Cycles c) {
-  if (detached_depth_ > 0) {
-    detached_total_ += c;
-    return;
-  }
-  const Cycles target = now_ + c;
-  MSV_CHECK_MSG(target >= now_, "virtual clock overflow");
-  while (!timers_.empty() && timers_.top().deadline <= target) {
-    Timer t = timers_.top();
-    timers_.pop();
-    if (is_cancelled(t.id)) {
-      cancelled_.erase(std::find(cancelled_.begin(), cancelled_.end(), t.id));
-      continue;
-    }
-    now_ = t.deadline;
-    if (t.period != 0) {
-      Timer next = t;
-      next.deadline = t.deadline + t.period;
-      timers_.push(std::move(next));
-    }
-    firing_ = true;
-    t.fn();
-    firing_ = false;
-  }
-  now_ = target;
-}
 
 Cycles VirtualClock::measure_detached(const std::function<void()>& fn) {
   ++detached_depth_;
@@ -47,35 +16,6 @@ Cycles VirtualClock::measure_detached(const std::function<void()>& fn) {
   const Cycles charged = detached_total_ - before;
   if (detached_depth_ == 0) detached_total_ = 0;
   return charged;
-}
-
-std::uint64_t VirtualClock::schedule_at(Cycles deadline,
-                                        std::function<void()> fn) {
-  MSV_CHECK_MSG(deadline >= now_, "timer deadline in the past");
-  const std::uint64_t id = next_id_++;
-  timers_.push(Timer{deadline, id, 0, std::move(fn)});
-  return id;
-}
-
-std::uint64_t VirtualClock::schedule_every(Cycles period,
-                                           std::function<void()> fn) {
-  MSV_CHECK_MSG(period > 0, "periodic timer needs a non-zero period");
-  const std::uint64_t id = next_id_++;
-  timers_.push(Timer{now_ + period, id, period, std::move(fn)});
-  return id;
-}
-
-void VirtualClock::cancel(std::uint64_t timer_id) {
-  cancelled_.push_back(timer_id);
-}
-
-std::size_t VirtualClock::pending_timers() const {
-  return timers_.size() - cancelled_.size();
-}
-
-bool VirtualClock::is_cancelled(std::uint64_t id) const {
-  return std::find(cancelled_.begin(), cancelled_.end(), id) !=
-         cancelled_.end();
 }
 
 }  // namespace msv

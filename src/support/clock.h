@@ -3,16 +3,14 @@
 // All latencies reported by benchmarks in this repository are *simulated*:
 // a VirtualClock counts CPU cycles charged by the cost model (see
 // cost_model.h) and converts them to seconds at the frequency of the paper's
-// evaluation machine (3.8 GHz Xeon E3-1270). The clock also owns a timer
-// queue so periodic activities — most importantly the GC helper threads of
-// §5.5 — fire at exact simulated instants, which keeps every test and
-// benchmark reproducible bit-for-bit.
+// evaluation machine (3.8 GHz Xeon E3-1270). Nothing runs on the clock's
+// behalf: periodic activities (the GC helper scans of §5.5) are polled by
+// their owners against now(), so advancing time is a plain add and every
+// test and benchmark is reproducible bit-for-bit.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <vector>
 
 namespace msv {
 
@@ -33,54 +31,30 @@ class VirtualClock {
     return static_cast<Cycles>(s * hz_);
   }
 
-  // Advances time by `c` cycles, firing any timers that become due. Timer
-  // callbacks run with the clock set to their exact deadline, so a periodic
-  // timer observes evenly spaced instants regardless of advance granularity.
-  void advance(Cycles c);
+  // Advances time by `c` cycles. Charges are additive: n advances of c
+  // leave the clock where one advance of n * c does.
+  void advance(Cycles c) {
+    if (detached_depth_ > 0) {
+      detached_total_ += c;
+    } else {
+      now_ += c;
+    }
+  }
 
   // Runs `fn` with the clock detached: every advance() it performs is
-  // accumulated and returned instead of moving now() (timers do not fire).
-  // This measures the exact cycle cost of an activity that executes on a
-  // core of its own — the GC helper threads of §5.5 — so the serving layer
-  // can realize the cost as a sleep of the owning isolate rather than a
-  // stall of the shared timeline. Nesting is allowed; the inner call
-  // returns only its own charges.
+  // accumulated and returned instead of moving now(). This measures the
+  // exact cycle cost of an activity that executes on a core of its own —
+  // the GC helper threads of §5.5 — so the serving layer can realize the
+  // cost as a sleep of the owning isolate rather than a stall of the
+  // shared timeline. Nesting is allowed; the inner call returns only its
+  // own charges.
   Cycles measure_detached(const std::function<void()>& fn);
 
-  // Schedules `fn` to run once when the clock reaches `deadline` (absolute).
-  // Returns an id usable with cancel().
-  std::uint64_t schedule_at(Cycles deadline, std::function<void()> fn);
-
-  // Schedules `fn` every `period` cycles, first firing at now()+period.
-  // The callback keeps firing until cancelled.
-  std::uint64_t schedule_every(Cycles period, std::function<void()> fn);
-
-  void cancel(std::uint64_t timer_id);
-
-  // Number of timers currently scheduled (periodic timers count once).
-  std::size_t pending_timers() const;
-
  private:
-  struct Timer {
-    Cycles deadline;
-    std::uint64_t id;
-    Cycles period;  // 0 for one-shot
-    std::function<void()> fn;
-    bool operator>(const Timer& o) const {
-      return deadline != o.deadline ? deadline > o.deadline : id > o.id;
-    }
-  };
-
   double hz_;
   Cycles now_ = 0;
   std::uint32_t detached_depth_ = 0;
   Cycles detached_total_ = 0;
-  std::uint64_t next_id_ = 1;
-  std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers_;
-  std::vector<std::uint64_t> cancelled_;
-  bool firing_ = false;
-
-  bool is_cancelled(std::uint64_t id) const;
 };
 
 }  // namespace msv

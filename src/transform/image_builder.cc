@@ -57,29 +57,28 @@ NativeImage ImageBuilder::build(const model::AppModel& input, bool is_trusted,
   // An image can legitimately be empty, e.g. the trusted image of an
   // application with no @Trusted classes.
 
-  ReachabilityAnalysis analysis(input);
-  image.reachable = analysis.analyze(image.entry_points);
+  const ReachabilityResult reachable =
+      ReachabilityAnalysis(input).analyze(image.entry_points);
 
   // Prune: only reachable classes, and within them only reachable methods,
   // survive into the image (§2.2: AoT compiles only reachable elements).
-  for (const auto& cls : input.classes()) {
-    if (!image.reachable.class_reachable(cls.name())) {
+  const auto& classes = input.classes();
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    const ClassDecl& cls = classes[c];
+    if (!reachable.class_reachable(c)) {
       if (cls.is_proxy()) ++image.pruned_proxy_count;
       continue;
     }
     ClassDecl& kept = image.classes.add_class(cls.name(), cls.annotation());
     if (cls.is_proxy()) kept.mark_proxy();
     for (const auto& f : cls.fields()) kept.add_field(f.name, f.is_private);
-    for (const auto& m : cls.methods()) {
+    for (std::size_t m = 0; m < cls.methods().size(); ++m) {
       // Proxy classes are pruned at class granularity only: a reachable
       // proxy "exposes the same methods as the original class" (§5.2) so
       // any of its stubs may be invoked through a received reference.
-      if (!cls.is_proxy() &&
-          !image.reachable.method_reachable(cls.name(), m.name())) {
-        continue;
-      }
-      kept.methods().push_back(m);
-      image.code_bytes += m.code_bytes();
+      if (!cls.is_proxy() && !reachable.method_reachable(c, m)) continue;
+      kept.methods().push_back(cls.methods()[m]);
+      image.code_bytes += cls.methods()[m].code_bytes();
     }
   }
   image.classes.set_main_class(input.main_class());

@@ -37,7 +37,6 @@ struct NativeImage {
   bool is_trusted = false;
   model::AppModel classes;     // pruned, reachable program elements only
   std::vector<MethodRef> entry_points;
-  ReachabilityResult reachable;
   std::uint64_t code_bytes = 0;        // compiled application methods
   std::uint64_t runtime_code_bytes = 0;
   std::uint64_t image_heap_bytes = 0;

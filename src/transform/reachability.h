@@ -18,7 +18,7 @@
 // of untrusted classes.
 #pragma once
 
-#include <set>
+#include <cstddef>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,18 +51,26 @@ struct CallSite {
 // declared callees (callers validate targets themselves).
 std::vector<CallSite> direct_call_sites(const model::MethodDecl& method);
 
+// Marks by position in the analysed model: class c of classes(), and
+// method m of that class's methods() at flat index method_base[c] + m.
+// The by-name queries resolve through `app`, which must outlive the
+// result.
 struct ReachabilityResult {
-  std::set<std::string> classes;
-  std::set<MethodRef> methods;
-  std::set<std::string> instantiated;
+  const model::AppModel* app = nullptr;
+  std::vector<bool> classes;
+  std::vector<bool> instantiated;
+  std::vector<std::size_t> method_base;  // classes.size() + 1 offsets
+  std::vector<bool> methods;
 
-  bool class_reachable(const std::string& cls) const {
-    return classes.count(cls) != 0;
+  bool class_reachable(std::size_t c) const { return classes[c]; }
+  bool method_reachable(std::size_t c, std::size_t m) const {
+    return methods[method_base[c] + m];
   }
+
+  bool class_reachable(const std::string& cls) const;
+  bool class_instantiated(const std::string& cls) const;
   bool method_reachable(const std::string& cls,
-                        const std::string& method) const {
-    return methods.count({cls, method}) != 0;
-  }
+                        const std::string& method) const;
 };
 
 class ReachabilityAnalysis {

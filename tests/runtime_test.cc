@@ -313,9 +313,11 @@ TEST_F(RuntimeTest, RootSlotFreedByLastOfNCopiesInAnyOrder) {
 TEST_F(RuntimeTest, SurvivorsCrossingFirstChunkDuringCheneyScan) {
   // One root array, copied while the roots are forwarded, whose children
   // only get copied by the Cheney scan: they take the to-space past its
-  // first 64 KiB buffer, so the semispace is reserved (and the buffer
-  // moves) in the middle of the scan.
-  constexpr std::uint32_t kChildren = 512;
+  // first buffer (Heap::kFirstChunkBytes), so the semispace is reserved
+  // (and the buffer moves) in the middle of the scan. The array's 9 bytes
+  // per child keep it inside the first buffer; each child and its name
+  // take ~200.
+  constexpr std::uint32_t kChildren = Heap::kFirstChunkBytes / 32;
   Heap& heap = iso_.heap();
   const GcRef root = iso_.make_ref(heap.alloc_array(kChildren));
   std::vector<std::uint32_t> hashes;
@@ -332,11 +334,11 @@ TEST_F(RuntimeTest, SurvivorsCrossingFirstChunkDuringCheneyScan) {
     hashes.push_back(heap.identity_hash(child.address()));
   }
   const std::uint32_t root_hash = heap.identity_hash(root.address());
-  ASSERT_LT(heap.object_bytes(root.address()), 64u << 10);
+  ASSERT_LT(heap.object_bytes(root.address()) + 8, Heap::kFirstChunkBytes);
   ASSERT_EQ(heap.stats().gc_count, 0u);
 
   heap.collect();
-  EXPECT_GT(heap.used_bytes(), 64u << 10);
+  EXPECT_GT(heap.used_bytes(), Heap::kFirstChunkBytes);
   EXPECT_EQ(heap.identity_hash(root.address()), root_hash);
   for (std::uint32_t i = 0; i < kChildren; ++i) {
     const ObjAddr child = heap.slot(root.address(), i).as_ref();

@@ -322,16 +322,35 @@ TEST_F(SchedulerTest, MeasureDetachedNests) {
   EXPECT_EQ(env.clock.now(), 0u);
 }
 
-TEST_F(SchedulerTest, MeasureDetachedDefersTimers) {
-  bool fired = false;
-  env.clock.schedule_at(50, [&] { fired = true; });
-  const Cycles cost = env.clock.measure_detached([&] {
-    env.clock.advance(1'000);
-  });
-  EXPECT_EQ(cost, 1'000u);
-  EXPECT_FALSE(fired) << "timers do not fire on the detached core";
-  env.clock.advance(50);
-  EXPECT_TRUE(fired);
+// ---- Fiber stacks ------------------------------------------------------------
+
+// Recursion the compiler cannot turn into a loop: each frame keeps a
+// volatile buffer live across the call and reads it after the callee
+// returns.
+std::uint64_t recurse_deep(std::uint64_t depth) {
+  volatile unsigned char frame[512] = {};
+  frame[depth % 512] = static_cast<unsigned char>(depth);
+  if (depth == 0) return frame[0];
+  return recurse_deep(depth - 1) + frame[depth % 512];
+}
+
+using SchedulerDeathTest = SchedFixture;
+
+TEST_F(SchedulerDeathTest, FiberStackOverflowFaultsOnTheGuardPage) {
+  // A fiber's stack sits above a PROT_NONE guard page: recursing to about
+  // twice its 64 KiB faults at once instead of writing into whatever the
+  // host allocator placed below the stack.
+  EXPECT_DEATH(
+      {
+        sched::Scheduler sched(env, {.stack_bytes = 64 * 1024});
+        volatile std::uint64_t result = 0;
+        sched.spawn("deep", [&] {
+          volatile std::uint64_t depth = 256;
+          result = recurse_deep(depth);
+        });
+        sched.run();
+      },
+      "");
 }
 
 // ---- TCS pool queueing under the scheduler (DESIGN.md §8) ------------------

@@ -37,66 +37,6 @@ TEST(VirtualClock, SecondsToCyclesUsesFrequency) {
   EXPECT_EQ(clock.seconds_to_cycles(1.5), 3'000'000'000u);
 }
 
-TEST(VirtualClock, OneShotTimerFiresAtDeadline) {
-  VirtualClock clock(1e9);
-  Cycles fired_at = 0;
-  clock.schedule_at(1000, [&] { fired_at = clock.now(); });
-  clock.advance(999);
-  EXPECT_EQ(fired_at, 0u);
-  clock.advance(500);
-  EXPECT_EQ(fired_at, 1000u);
-  EXPECT_EQ(clock.now(), 1499u);
-}
-
-TEST(VirtualClock, PeriodicTimerFiresAtExactInstants) {
-  VirtualClock clock(1e9);
-  std::vector<Cycles> instants;
-  clock.schedule_every(100, [&] { instants.push_back(clock.now()); });
-  clock.advance(350);
-  ASSERT_EQ(instants.size(), 3u);
-  EXPECT_EQ(instants[0], 100u);
-  EXPECT_EQ(instants[1], 200u);
-  EXPECT_EQ(instants[2], 300u);
-}
-
-TEST(VirtualClock, CancelStopsPeriodicTimer) {
-  VirtualClock clock(1e9);
-  int fires = 0;
-  const auto id = clock.schedule_every(10, [&] { ++fires; });
-  clock.advance(25);
-  EXPECT_EQ(fires, 2);
-  clock.cancel(id);
-  clock.advance(100);
-  EXPECT_EQ(fires, 2);
-  EXPECT_EQ(clock.pending_timers(), 0u);
-}
-
-TEST(VirtualClock, TimersOrderedByDeadlineThenId) {
-  VirtualClock clock(1e9);
-  std::vector<int> order;
-  clock.schedule_at(50, [&] { order.push_back(1); });
-  clock.schedule_at(50, [&] { order.push_back(2); });
-  clock.schedule_at(20, [&] { order.push_back(3); });
-  clock.advance(60);
-  EXPECT_EQ(order, (std::vector<int>{3, 1, 2}));
-}
-
-TEST(VirtualClock, TimerCanScheduleAnotherTimer) {
-  VirtualClock clock(1e9);
-  bool second_fired = false;
-  clock.schedule_at(10, [&] {
-    clock.schedule_at(clock.now() + 10, [&] { second_fired = true; });
-  });
-  clock.advance(30);
-  EXPECT_TRUE(second_fired);
-}
-
-TEST(VirtualClock, PastDeadlineThrows) {
-  VirtualClock clock(1e9);
-  clock.advance(100);
-  EXPECT_THROW(clock.schedule_at(50, [] {}), RuntimeFault);
-}
-
 TEST(ByteBuffer, PrimitivesRoundTrip) {
   ByteBuffer buf;
   buf.put_u8(0xab);

@@ -145,7 +145,7 @@ TEST(Reachability, WalksCallAndNewEdges) {
   EXPECT_TRUE(result.method_reachable("Person", "transfer"));
   EXPECT_TRUE(result.method_reachable("Account", "updateBalance"));
   EXPECT_TRUE(result.class_reachable("AccountRegistry"));
-  EXPECT_TRUE(result.instantiated.count("Person"));
+  EXPECT_TRUE(result.class_instantiated("Person"));
 }
 
 TEST(Reachability, NativeCalleeHintsFollowed) {
