@@ -9,8 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
 #include "apps/illustrative/bank.h"
+#include "apps/paldb/model.h"
+#include "apps/synthetic/generator.h"
 #include "core/app.h"
 #include "faults/plan.h"
 #include "fleet/load.h"
@@ -237,6 +240,48 @@ TEST(ServingPins, EightTenantLaunch) {
   EXPECT_EQ(Sha256::hex(app.enclave().measurement()),
             "a27ac6962c91871b9f840d7dc7c936ec"
             "1c13bc23518e62ac574d98a87f14c273");
+}
+
+// The bridge's call names in CallId order, one per line. CallIds follow
+// registration order and batch frames carry them as varints, so any
+// renumbering can change frame bytes: the three stacks perfbench launches
+// pin the order, not just the set.
+std::string call_id_digest(const sgx::TransitionBridge& bridge) {
+  std::string joined;
+  for (const std::string& name : bridge.call_names()) {
+    if (!joined.empty()) joined += '\n';
+    joined += name;
+  }
+  return Sha256::hex(Sha256::hash(joined));
+}
+
+TEST(ServingPins, BridgeCallIdsArePinned) {
+  {
+    core::PartitionedApp app(apps::build_bank_app(), 8);
+    sched::Scheduler sched(app.env());
+    server::RequestServer srv(sched, app, server::ServerConfig{});
+    srv.start();
+    EXPECT_EQ(app.bridge().call_names().size(), 30u);
+    EXPECT_EQ(call_id_digest(app.bridge()),
+              "11b2ccbb7123eeaa604751d3b8397ee2"
+              "22e6c9fa5e196c668da463f242680daa");
+  }
+  {
+    core::PartitionedApp app(apps::synthetic::build_micro_app());
+    app.untrusted_context().construct("Driver", {});
+    EXPECT_EQ(app.bridge().call_names().size(), 33u);
+    EXPECT_EQ(call_id_digest(app.bridge()),
+              "1c199101d3944dca264752191c4b76cb"
+              "98879622476bda39427dffd006bcff5a");
+  }
+  {
+    core::UnpartitionedApp app(apps::paldb::build_paldb_app(
+        apps::paldb::Scheme::kUnpartitioned, apps::paldb::PaldbWorkload{}));
+    EXPECT_EQ(app.bridge().call_names().size(), 14u);
+    EXPECT_EQ(call_id_digest(app.bridge()),
+              "b7e8f3e06119488d7f9fa771ee8b6aaf"
+              "52e14904509e8aacb0af3b2f0dbe687f");
+  }
 }
 
 }  // namespace

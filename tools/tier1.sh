@@ -29,6 +29,13 @@ for example in "$BUILD_DIR"/examples/example_*; do
   "$example" > /dev/null
 done
 
+# montsalvatc's build artifacts for the bank example (the EDL, the Edger8r
+# header and bridge sources, the image inventory and the TCB report) must
+# match the checked-in golden file byte for byte, so a change to how the
+# enclave interface is assembled or rendered cannot alter them unnoticed.
+"$BUILD_DIR"/tools/montsalvatc examples/bank.msv --emit-edl --emit-bridges \
+  --emit-images --tcb | diff -u tools/golden/montsalvatc_bank.txt -
+
 # Batched-RMI smoke (DESIGN.md §13): aborts unless batch width 1 is
 # cycle-identical to the unbatched path and width >= 16 clears the 5x
 # amortization gate.
@@ -126,4 +133,4 @@ python3 tools/test_bench_diff.py > /dev/null
   --metrics-out="$BUILD_DIR"/fig_server_metrics.txt > /dev/null
 tools/check_trace.py "$BUILD_DIR"/fig_server_trace.json
 
-echo "tier1: tests + ablations + examples + batched-rmi + fault-storm + msvlint + partition-optimizer + telemetry-trace + health/bench-diff + stress smoke OK"
+echo "tier1: tests + ablations + examples + montsalvatc-golden + batched-rmi + fault-storm + msvlint + partition-optimizer + telemetry-trace + health/bench-diff + stress smoke OK"
