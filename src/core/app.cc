@@ -25,24 +25,6 @@ void lint_or_throw(const model::AppModel& app) {
   }
 }
 
-void add_gc_edl_entries(sgx::EdlSpec& edl) {
-  sgx::EdlFunction evict_in;
-  evict_in.name = "ecall_gc_evict_mirrors";
-  evict_in.params = {{"const int64_t*", "hashes", sgx::EdlDirection::kIn, "n"},
-                     {"size_t", "n", sgx::EdlDirection::kIn, ""}};
-  edl.add_ecall(std::move(evict_in));
-
-  sgx::EdlFunction scan;
-  scan.name = "ecall_gc_scan_trusted";
-  edl.add_ecall(std::move(scan));
-
-  sgx::EdlFunction evict_out;
-  evict_out.name = "ocall_gc_evict_mirrors";
-  evict_out.params = {{"const int64_t*", "hashes", sgx::EdlDirection::kIn, "n"},
-                      {"size_t", "n", sgx::EdlDirection::kIn, ""}};
-  edl.add_ocall(std::move(evict_out));
-}
-
 // Agent mode: every public method of every class is a root.
 std::vector<xform::MethodRef> all_public_methods(const model::AppModel& set) {
   std::vector<xform::MethodRef> eps;
@@ -82,12 +64,12 @@ std::vector<xform::MethodRef> image_entry_points(
 }  // namespace
 
 Sha256::Digest measure_enclave_blob(const xform::NativeImage& trusted,
-                                    const sgx::EdgeRoutines& edge) {
+                                    const std::string& trusted_bridge_source) {
   Sha256 h;
   const ByteBuffer image_bytes = trusted.serialize();
   h.update(image_bytes.data(), image_bytes.size());
   h.update("montsalvat-shim-v1");
-  h.update(edge.trusted_source);
+  h.update(trusted_bridge_source);
   return h.finish();
 }
 
@@ -151,18 +133,17 @@ void PartitionedApp::build(const model::AppModel& app,
                          config_.extra_entry_points));
 
   // 3. EDL + Edger8r bridge generation (§5.3, §5.4): the relay
-  // transitions, the shim's libc relays and the GC-helper calls.
+  // transitions, then the shim's libc relays and the GC-helper calls,
+  // linked from their one definition. The trusted bridge source is the
+  // one Edger8r output the measurement needs.
   edl_ = std::move(transformed.edl);
   shim::EnclaveShim::add_edl_entries(edl_);
-  add_gc_edl_entries(edl_);
-  if (config_.switchless_relays) {
-    for (auto& fn : edl_.trusted) fn.switchless = true;
-    for (auto& fn : edl_.untrusted) fn.switchless = true;
-  }
-  edge_ = sgx::edger8r_generate(edl_);
+  edl_.link(rmi::ProxyRuntime::gc_edl_interface());
+  edl_.switchless = config_.switchless_relays;
 
   // 4. SGX application creation (§5.4): measured load + EINIT.
-  measurement_ = measure_enclave_blob(trusted_image_, edge_);
+  measurement_ = measure_enclave_blob(trusted_image_,
+                                      sgx::edger8r_trusted_source(edl_));
   enclave_ = std::make_unique<sgx::Enclave>(
       env_,
       name_suffix.empty() ? "montsalvat_enclave"
@@ -225,15 +206,10 @@ void PartitionedApp::build(const model::AppModel& app,
   untrusted_ctx_->set_remote(rmi_.get());
 
   if (config_.switchless_relays) {
-    for (const auto& fn : edl_.trusted) {
-      if (fn.name.rfind("ecall_relay_", 0) == 0) {
-        bridge_->set_switchless(fn.name, true);
-      }
-    }
-    for (const auto& fn : edl_.untrusted) {
-      if (fn.name.rfind("ocall_relay_", 0) == 0) {
-        bridge_->set_switchless(fn.name, true);
-      }
+    // The EDL's own functions are the relay transitions; the linked shim
+    // and GC-helper calls keep their hardware transitions.
+    for (const auto* side : {&edl_.trusted, &edl_.untrusted}) {
+      for (const auto& fn : *side) bridge_->set_switchless(fn.name, true);
     }
   }
 }
@@ -266,7 +242,7 @@ TcbReport PartitionedApp::tcb_report() const {
   r.image_heap_bytes = trusted_image_.image_heap_bytes;
   r.trusted_classes = trusted_image_.class_count();
   r.trusted_methods = trusted_image_.method_count();
-  r.edl_functions = edl_.trusted.size() + edl_.untrusted.size();
+  r.edl_functions = edl_.function_count();
   return r;
 }
 
@@ -292,7 +268,7 @@ UnpartitionedApp::UnpartitionedApp(const model::AppModel& app,
   shim::EnclaveShim::add_edl_entries(edl_);
 
   const Sha256::Digest measurement =
-      measure_enclave_blob(image_, sgx::edger8r_generate(edl_));
+      measure_enclave_blob(image_, sgx::edger8r_trusted_source(edl_));
 
   enclave_ = std::make_unique<sgx::Enclave>(
       *env_, "montsalvat_enclave", measurement,
@@ -316,18 +292,17 @@ UnpartitionedApp::UnpartitionedApp(const model::AppModel& app,
       *env_, *iso_, image_.classes, *enclave_shim_, std::move(intrinsics));
   ctx_->set_verify_bytecode(config_.verify_bytecode);
 
-  ecall_main_id_ = bridge_->register_ecall("ecall_main", [this](ByteReader&) {
-    env_->clock.advance(env_->cost.isolate_attach_cycles(/*trusted=*/true));
-    ctx_->run_main();
-    return ByteBuffer();
-  });
-  ecall_invoke_id_ =
-      bridge_->register_ecall("ecall_invoke", [this](ByteReader&) {
+  ecall_main_id_ = bridge_->register_ecall_raw(
+      "ecall_main", [this](ByteReader&, ByteBuffer&) {
+        env_->clock.advance(env_->cost.isolate_attach_cycles(/*trusted=*/true));
+        ctx_->run_main();
+      });
+  ecall_invoke_id_ = bridge_->register_ecall_raw(
+      "ecall_invoke", [this](ByteReader&, ByteBuffer&) {
         env_->clock.advance(env_->cost.isolate_attach_cycles(/*trusted=*/true));
         MSV_CHECK_MSG(pending_invoke_ != nullptr,
                       "no pending enclave function");
         pending_result_ = (*pending_invoke_)(*ctx_);
-        return ByteBuffer();
       });
 }
 

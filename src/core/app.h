@@ -95,9 +95,10 @@ struct TcbReport {
 
 // MRENCLAVE, the one measurement rule (§5.4): the final SGX-module link
 // makes the enclave blob from the trusted image, the shim and the
-// generated trusted bridge routines, and the blob's SHA-256 is MRENCLAVE.
+// generated trusted bridge routines (EdgeRoutines::trusted_source), and
+// the blob's SHA-256 is MRENCLAVE.
 Sha256::Digest measure_enclave_blob(const xform::NativeImage& trusted,
-                                    const sgx::EdgeRoutines& edge);
+                                    const std::string& trusted_bridge_source);
 
 class PartitionedApp {
  public:
@@ -153,7 +154,11 @@ class PartitionedApp {
   const xform::NativeImage& trusted_image() const { return trusted_image_; }
   const xform::NativeImage& untrusted_image() const { return untrusted_image_; }
   const sgx::EdlSpec& edl() const { return edl_; }
-  const sgx::EdgeRoutines& edge_routines() const { return edge_; }
+  // The Edger8r outputs, rendered on each call: a launch renders only the
+  // trusted source, for the measurement.
+  sgx::EdgeRoutines edge_routines() const {
+    return sgx::edger8r_generate(edl_);
+  }
 
   TcbReport tcb_report() const;
 
@@ -189,7 +194,6 @@ class PartitionedApp {
   xform::NativeImage trusted_image_;
   xform::NativeImage untrusted_image_;
   sgx::EdlSpec edl_;
-  sgx::EdgeRoutines edge_;
   Sha256::Digest measurement_{};
   std::unique_ptr<sgx::Enclave> enclave_;
   std::unique_ptr<UntrustedDomain> untrusted_domain_;

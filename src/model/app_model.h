@@ -59,6 +59,9 @@ struct RelayInfo {
   std::string target_class;
   std::string target_method;
   bool is_constructor = false;
+  // The bridge transition that enters this relay (ProxyStubInfo::relay_name
+  // of its proxy stubs, the EDL function's name).
+  std::string transition;
 };
 
 // The paper names constructors after the class; internally we use the JVM

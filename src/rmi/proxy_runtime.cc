@@ -2,7 +2,6 @@
 
 #include "sched/scheduler.h"
 #include "support/error.h"
-#include "transform/transformer.h"
 
 namespace msv::rmi {
 
@@ -837,8 +836,6 @@ void ProxyRuntime::register_handlers() {
     for (const auto& cls : callee.ctx.classes().classes()) {
       for (const auto& m : cls.methods()) {
         if (m.kind() != MethodKind::kRelay) continue;
-        const std::string name = xform::transition_name(
-            cls.name(), m.relay().target_method, callee_is_trusted);
         // Pre-resolve the relay target once; per-call work is pure
         // dispatch.
         const MethodDecl* target =
@@ -859,6 +856,7 @@ void ProxyRuntime::register_handlers() {
         auto handler = [site = &site](ByteReader& in, ByteBuffer& out) {
           site->rt->dispatch_relay(*site, in, out);
         };
+        const std::string& name = m.relay().transition;
         const sgx::CallId id =
             callee_is_trusted
                 ? bridge_.register_ecall_raw(name, std::move(handler))
@@ -893,28 +891,41 @@ void ProxyRuntime::register_handlers() {
     MSV_CHECK_MSG(is_trusted(s), "GC frame addressed to the untrusted side");
     return s;
   };
-  gc_evict_ecall_id_ = bridge_.register_ecall(
-      "ecall_gc_evict_mirrors", [trusted_target](ByteReader& in) {
+  const sgx::EdlInterface& gc = gc_edl_interface();
+  gc_evict_ecall_id_ = bridge_.register_ecall_raw(
+      gc.trusted[0].name, [trusted_target](ByteReader& in, ByteBuffer&) {
         SideState& s = trusted_target(in);
         const std::uint64_t n = in.get_varint();
         for (std::uint64_t i = 0; i < n; ++i) s.registry.remove(in.get_i64());
-        return ByteBuffer();
       });
-  gc_evict_ocall_id_ =
-      bridge_.register_ocall("ocall_gc_evict_mirrors", [this](ByteReader& in) {
+  gc_evict_ocall_id_ = bridge_.register_ocall_raw(
+      gc.untrusted[0].name, [this](ByteReader& in, ByteBuffer&) {
         const std::uint64_t n = in.get_varint();
         for (std::uint64_t i = 0; i < n; ++i)
           untrusted_.registry.remove(in.get_i64());
-        return ByteBuffer();
       });
   // An in-enclave helper's scan-and-evict, entered when the untrusted
   // pump observes cleared entries in that isolate's weak list.
-  gc_scan_ecall_id_ = bridge_.register_ecall(
-      "ecall_gc_scan_trusted", [this, trusted_target](ByteReader& in) {
+  gc_scan_ecall_id_ = bridge_.register_ecall_raw(
+      gc.trusted[1].name,
+      [this, trusted_target](ByteReader& in, ByteBuffer&) {
         SideState& s = trusted_target(in);
         evict_remote(s, collect_dead_proxies(s));
-        return ByteBuffer();
       });
+}
+
+const sgx::EdlInterface& ProxyRuntime::gc_edl_interface() {
+  static const sgx::EdlInterface kGc = [] {
+    const std::vector<sgx::EdlParam> hashes = {
+        {"const int64_t*", "hashes", sgx::EdlDirection::kIn, "n"},
+        {"size_t", "n", sgx::EdlDirection::kIn, ""}};
+    sgx::EdlInterface gc;
+    gc.trusted = {{"ecall_gc_evict_mirrors", "void", hashes},
+                  {"ecall_gc_scan_trusted", "void", {}}};
+    gc.untrusted = {{"ocall_gc_evict_mirrors", "void", hashes}};
+    return gc;
+  }();
+  return kGc;
 }
 
 // ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@
 #include "rmi/registry.h"
 #include "rmi/wire.h"
 #include "sgx/bridge.h"
+#include "sgx/edl.h"
 
 namespace msv::rmi {
 
@@ -106,10 +107,17 @@ class ProxyRuntime final : public interp::RemoteInvoker,
                interp::ExecContext& untrusted, Config config);
   ~ProxyRuntime() override;
 
-  // Registers the relay handlers (every kRelay method of both images), the
-  // batch endpoints and the GC eviction transitions on the bridge. Call
-  // exactly once.
+  // Registers the relay handlers (every kRelay method of both images,
+  // under the transition names the transformer gave them), the batch
+  // endpoints and the GC eviction transitions on the bridge. Call exactly
+  // once.
   void register_handlers();
+
+  // The GC helper's transitions (§5.5), the one definition of their names
+  // and signatures, built once per process and linked into every
+  // partitioned enclave's EDL: trusted [ecall_gc_evict_mirrors,
+  // ecall_gc_scan_trusted], untrusted [ocall_gc_evict_mirrors].
+  static const sgx::EdlInterface& gc_edl_interface();
 
   std::uint32_t isolate_count() const {
     return static_cast<std::uint32_t>(trusted_.size());

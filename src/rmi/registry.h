@@ -30,17 +30,10 @@ class MirrorProxyRegistry {
  public:
   explicit MirrorProxyRegistry(rt::Isolate& isolate) : isolate_(isolate) {
     // by_hash_ is the hottest RMI lookup (one get() per relayed instance
-    // call): reserve well ahead and keep the load factor low so lookups
-    // stay at one probe and steady-state adds never rehash.
+    // call): keep the load factor low so lookups stay at one probe. Both
+    // indices grow on demand; most registries hold a handful of mirrors.
     by_hash_.max_load_factor(0.7f);
     by_identity_.max_load_factor(0.7f);
-    reserve(kDefaultReserve);
-  }
-
-  // Pre-sizes both indices for `n` expected mirrors.
-  void reserve(std::size_t n) {
-    by_hash_.reserve(n);
-    by_identity_.reserve(n);
   }
 
   // Registers `mirror` under `hash`. Throws RuntimeFault on a hash
@@ -80,8 +73,6 @@ class MirrorProxyRegistry {
   const RegistryStats& stats() const { return stats_; }
 
  private:
-  static constexpr std::size_t kDefaultReserve = 1024;
-
   void charge() const;
 
   rt::Isolate& isolate_;

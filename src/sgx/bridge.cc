@@ -12,24 +12,25 @@ TransitionBridge::TransitionBridge(Env& env, Enclave& enclave)
   // Typical interfaces are a few dozen entries (relays + shim + GC);
   // reserving ahead keeps registration from rehashing the interner.
   ids_.reserve(64);
-  names_.reserve(64);
 }
 
 CallId TransitionBridge::intern(const std::string& name) {
   const auto it = ids_.find(name);
   if (it != ids_.end()) return it->second;
-  const auto id = static_cast<CallId>(names_.size());
-  ids_.emplace(name, id);
-  names_.push_back(name);
+  const auto id = static_cast<CallId>(slots_.size());
   Slot& slot = slots_.emplace_back();
+  slot.name = name;
+  ids_.emplace(slot.name, id);
   // Resolve the telemetry identity here, at registration: the transition
   // span carries the call name verbatim and the category from the prefix
   // registry (relays -> rmi, GC helpers -> gc, everything else bridge;
   // msvlint MSV008 flags names the registry would miss).
-  slot.span_name = env_.telemetry.tracer().intern(name);
   telemetry::Category category = telemetry::Category::kBridge;
   (void)telemetry::category_for_call(name, &category);
   slot.span_category = category;
+  if (env_.telemetry.tracing_enabled()) {
+    slot.span_name = env_.telemetry.tracer().intern(name);
+  }
   return id;
 }
 
@@ -106,12 +107,23 @@ CallId TransitionBridge::ocall_id(const std::string& name) const {
 }
 
 const std::string& TransitionBridge::call_name(CallId id) const {
-  MSV_CHECK_MSG(id < names_.size(), "bad call id");
-  return names_[id];
+  MSV_CHECK_MSG(id < slots_.size(), "bad call id");
+  return slots_[id].name;
+}
+
+std::vector<std::string> TransitionBridge::call_names() const {
+  std::vector<std::string> names;
+  names.reserve(slots_.size());
+  for (const Slot& slot : slots_) names.push_back(slot.name);
+  return names;
 }
 
 void TransitionBridge::set_switchless(const std::string& name, bool enabled) {
-  slots_[intern(name)].switchless = enabled;
+  const CallId id = find_call(name);
+  if (id == kNoCallId) {
+    throw RuntimeFault("no ecall or ocall named '" + name + "' in the EDL");
+  }
+  slots_[id].switchless = enabled;
 }
 
 void TransitionBridge::set_switchless(CallId id, bool enabled) {
@@ -143,9 +155,9 @@ void TransitionBridge::check_ecall_entry(const std::string& name) const {
 void TransitionBridge::ecall(CallId id, const ByteBuffer& request,
                              ByteBuffer& response) {
   MSV_CHECK_MSG(id < slots_.size(), "bad call id");
-  check_ecall_entry(names_[id]);
+  check_ecall_entry(slots_[id].name);
   if (!slots_[id].ecall) {
-    throw RuntimeFault("no ecall named '" + names_[id] + "' in the EDL");
+    throw RuntimeFault("no ecall named '" + slots_[id].name + "' in the EDL");
   }
   call(id, request, {}, response, /*is_ecall=*/true);
 }
@@ -154,11 +166,11 @@ void TransitionBridge::ocall(CallId id, const ByteBuffer& request,
                              ByteBuffer& response, Payload payload) {
   MSV_CHECK_MSG(id < slots_.size(), "bad call id");
   if (side() != Side::kTrusted) {
-    throw SecurityFault("ocall '" + names_[id] +
+    throw SecurityFault("ocall '" + slots_[id].name +
                         "' issued from untrusted code");
   }
   if (!slots_[id].ocall) {
-    throw RuntimeFault("no ocall named '" + names_[id] + "' in the EDL");
+    throw RuntimeFault("no ocall named '" + slots_[id].name + "' in the EDL");
   }
   call(id, request, payload, response, /*is_ecall=*/false);
 }
@@ -188,7 +200,7 @@ void TransitionBridge::call(CallId id, const ByteBuffer& request,
       flight_rec_ = &bus->recorder(enclave_.name());
     }
     flight_rec_->record(
-        telemetry::FlightEventKind::kBridge, names_[id],
+        telemetry::FlightEventKind::kBridge, slot.name,
         static_cast<std::int64_t>(request.size() + payload.size()),
         is_ecall ? 1 : 0);
   }
@@ -196,8 +208,13 @@ void TransitionBridge::call(CallId id, const ByteBuffer& request,
   // Transition span: covers handshake, TCS acquisition, copies and the
   // handler — including the parked wait on the ring path (the span lives
   // on the calling task's stack, so it brackets the whole round trip).
-  telemetry::SpanScope span(env_.telemetry.tracer(), slot.span_category,
-                            slot.span_name);
+  telemetry::Tracer& tracer = env_.telemetry.tracer();
+  if (tracer.enabled(slot.span_category) &&
+      slot.span_name == telemetry::Tracer::kNoIndex) {
+    // Tracing was switched on after this call was registered.
+    slot.span_name = tracer.intern(slot.name);
+  }
+  telemetry::SpanScope span(tracer, slot.span_category, slot.span_name);
 
   if (slot.switchless) {
     // Ring path: with workers running and a task to park, the request is
@@ -470,7 +487,7 @@ const BridgeStats& TransitionBridge::stats() const {
   stats_.per_call.clear();
   for (CallId id = 0; id < slots_.size(); ++id) {
     const CallStats& s = slots_[id].stats;
-    if (s.calls != 0) stats_.per_call.emplace(names_[id], s);
+    if (s.calls != 0) stats_.per_call.emplace(slots_[id].name, s);
   }
   return stats_;
 }

@@ -31,6 +31,12 @@
 // invoke sgx_ecall(eid, ordinal, ...) with the function's table index,
 // never its name. Callers resolve a name to its ID once (ecall_id /
 // ocall_id), at registration or set-up time.
+//
+// The bridge keeps one copy of each name, in the call's slot. A call's
+// transition span takes the name verbatim, but the tracer interns it only
+// when spans are recorded: at registration when a full-mode tracer
+// exists, otherwise at the first traced call, so a launch with tracing off
+// interns nothing and a tracer configured later still names every span.
 #pragma once
 
 #include <cstdint>
@@ -40,6 +46,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -116,9 +123,11 @@ class TransitionBridge {
   TransitionBridge(const TransitionBridge&) = delete;
   TransitionBridge& operator=(const TransitionBridge&) = delete;
 
-  // Registration normally happens via Edger8r-generated tables
-  // (sgx/edl.h); direct registration is exposed for tests. Returns the
-  // interned ID callers can dispatch by.
+  // Registers the handler of one EDL function and returns the interned ID
+  // callers dispatch by; IDs follow registration order. The runtimes that
+  // own a part of the interface (the shim, the RMI runtime and its GC
+  // helper, the unpartitioned app's entry points) register raw handlers;
+  // the Handler form adds one wrapper and serves tests.
   CallId register_ecall(const std::string& name, Handler handler);
   CallId register_ocall(const std::string& name, Handler handler);
   CallId register_ecall_raw(const std::string& name, RawHandler handler);
@@ -134,7 +143,7 @@ class TransitionBridge {
   CallId ocall_id(const std::string& name) const;
   const std::string& call_name(CallId id) const;
   // Every interned call name, indexed by CallId (registration order).
-  const std::vector<std::string>& call_names() const { return names_; }
+  std::vector<std::string> call_names() const;
 
   // Invokes trusted function `id`. Must be called from the untrusted
   // side; throws SecurityFault otherwise (the hardware would fault). The
@@ -145,8 +154,9 @@ class TransitionBridge {
   void ocall(CallId id, const ByteBuffer& request, ByteBuffer& response,
              Payload payload = {});
 
-  // Marks `name` (ecall or ocall) as switchless: subsequent invocations
-  // pay the worker-handshake cost instead of a hardware transition.
+  // Marks registered call `name` (ecall or ocall) as switchless:
+  // subsequent invocations pay the worker-handshake cost instead of a
+  // hardware transition. Throws RuntimeFault for an unknown name.
   void set_switchless(const std::string& name, bool enabled);
   void set_switchless(CallId id, bool enabled);
   bool is_switchless(CallId id) const;
@@ -203,14 +213,16 @@ class TransitionBridge {
   // interner namespace but not the slot fields (names are disjoint in
   // practice; a name registered on both sides simply fills both).
   struct Slot {
+    std::string name;  // the bridge's one copy; ids_ keys view it
     RawHandler ecall;
     RawHandler ocall;
     bool switchless = false;
     CallStats stats;
-    // Telemetry: span name interned and category resolved once, at
-    // registration (telemetry::category_for_call), so tracing costs the
-    // hot path nothing beyond one enabled() branch.
-    std::uint32_t span_name = 0;
+    // Telemetry: category resolved once, at registration
+    // (telemetry::category_for_call); the span name interned once, when
+    // spans are first recorded (kNoIndex until then), so tracing costs the
+    // hot path nothing beyond the enabled() branch.
+    std::uint32_t span_name = telemetry::Tracer::kNoIndex;
     telemetry::Category span_category = telemetry::Category::kBridge;
   };
 
@@ -249,10 +261,10 @@ class TransitionBridge {
 
   Env& env_;
   Enclave& enclave_;
-  std::unordered_map<std::string, CallId> ids_;
-  std::vector<std::string> names_;
-  // Deque: slot references stay valid if a handler registers new calls.
+  // Deque: slots, and so the names ids_ views, stay put when calls are
+  // registered (a handler may register new calls).
   std::deque<Slot> slots_;
+  std::unordered_map<std::string_view, CallId> ids_;
   mutable CallCtx main_ctx_;
   // Ordered map: deterministic, and entries are created per live task.
   mutable std::map<std::uint64_t, CallCtx> task_ctxs_;

@@ -5,54 +5,50 @@
 #include "support/error.h"
 
 namespace msv::shim {
-namespace {
-
-// Indexed by EnclaveShim::Ocall.
-constexpr const char* kOcallNames[] = {
-    "ocall_fopen",  "ocall_fwrite", "ocall_fread",  "ocall_fseek",
-    "ocall_fflush", "ocall_fclose", "ocall_access", "ocall_stat",
-    "ocall_unlink", "ocall_listdir", "ocall_mmap", "ocall_mmap_fetch",
-};
-
-}  // namespace
 
 EnclaveShim::EnclaveShim(Env& env, sgx::TransitionBridge& bridge, HostIo& host,
                          MemoryDomain& enclave_domain)
     : env_(env), bridge_(bridge), host_(host), enclave_domain_(enclave_domain) {
-  static_assert(std::size(kOcallNames) == kOcallCount);
   ids_.fill(sgx::kNoCallId);
 }
 
-void EnclaveShim::add_edl_entries(sgx::EdlSpec& edl) {
-  for (const char* name : kOcallNames) {
-    sgx::EdlFunction fn;
-    fn.name = name;
-    fn.return_type = "long";
-    fn.params = {
+const sgx::EdlInterface& EnclaveShim::edl_interface() {
+  static const sgx::EdlInterface kShim = [] {
+    // Every relay passes a marshalled request in and a response buffer out.
+    const std::vector<sgx::EdlParam> params = {
         {"const uint8_t*", "req", sgx::EdlDirection::kIn, "req_len"},
         {"size_t", "req_len", sgx::EdlDirection::kIn, ""},
         {"uint8_t*", "resp", sgx::EdlDirection::kOut, "resp_len"},
         {"size_t", "resp_len", sgx::EdlDirection::kIn, ""},
     };
-    edl.add_ocall(std::move(fn));
-  }
+    sgx::EdlInterface shim;
+    // Indexed by Ocall.
+    for (const char* name :
+         {"ocall_fopen", "ocall_fwrite", "ocall_fread", "ocall_fseek",
+          "ocall_fflush", "ocall_fclose", "ocall_access", "ocall_stat",
+          "ocall_unlink", "ocall_listdir", "ocall_mmap", "ocall_mmap_fetch"}) {
+      shim.untrusted.push_back({name, "long", params});
+    }
+    MSV_CHECK(shim.untrusted.size() == kOcallCount);
+    return shim;
+  }();
+  return kShim;
 }
 
 void EnclaveShim::register_ocalls() {
   MSV_CHECK_MSG(!registered_, "shim ocalls registered twice");
   registered_ = true;
 
-  const auto add = [this](Ocall ocall, sgx::TransitionBridge::Handler h) {
-    ids_[ocall] = bridge_.register_ocall(kOcallNames[ocall], std::move(h));
+  const auto add = [this](Ocall ocall, sgx::TransitionBridge::RawHandler h) {
+    ids_[ocall] = bridge_.register_ocall_raw(
+        edl_interface().untrusted[ocall].name, std::move(h));
   };
-  add(kFopen, [this](ByteReader& r) {
+  add(kFopen, [this](ByteReader& r, ByteBuffer& out) {
     const std::string path = r.get_string();
     const auto mode = static_cast<vfs::OpenMode>(r.get_u8());
-    ByteBuffer out;
     out.put_u64(host_.open(path, mode));
-    return out;
   });
-  add(kFwrite, [this](ByteReader& r) {
+  add(kFwrite, [this](ByteReader& r, ByteBuffer&) {
     const FileId id = r.get_u64();
     const std::uint64_t len = r.get_varint();
     // The data is the call's [in, size=len] buffer, passed out of line:
@@ -64,68 +60,51 @@ void EnclaveShim::register_ocalls() {
                          "-byte buffer");
     }
     host_.write(id, data.data(), len);
-    return ByteBuffer();
   });
-  add(kFread, [this](ByteReader& r) {
+  add(kFread, [this](ByteReader& r, ByteBuffer& out) {
     const FileId id = r.get_u64();
     const std::uint64_t len = r.get_varint();
     std::vector<std::uint8_t> buf(len);
     const std::uint64_t got = host_.read(id, buf.data(), len);
-    ByteBuffer out;
     out.put_varint(got);
     out.put_bytes(buf.data(), got);
-    return out;
   });
-  add(kFseek, [this](ByteReader& r) {
+  add(kFseek, [this](ByteReader& r, ByteBuffer&) {
     const FileId id = r.get_u64();
     host_.seek(id, r.get_u64());
-    return ByteBuffer();
   });
-  add(kFflush, [this](ByteReader& r) {
+  add(kFflush, [this](ByteReader& r, ByteBuffer&) {
     host_.flush(r.get_u64());
-    return ByteBuffer();
   });
-  add(kFclose, [this](ByteReader& r) {
+  add(kFclose, [this](ByteReader& r, ByteBuffer&) {
     host_.close(r.get_u64());
-    return ByteBuffer();
   });
-  add(kAccess, [this](ByteReader& r) {
-    ByteBuffer out;
+  add(kAccess, [this](ByteReader& r, ByteBuffer& out) {
     out.put_u8(host_.exists(r.get_string()) ? 1 : 0);
-    return out;
   });
-  add(kStat, [this](ByteReader& r) {
-    ByteBuffer out;
+  add(kStat, [this](ByteReader& r, ByteBuffer& out) {
     out.put_u64(host_.file_size(r.get_string()));
-    return out;
   });
-  add(kUnlink, [this](ByteReader& r) {
+  add(kUnlink, [this](ByteReader& r, ByteBuffer&) {
     host_.remove(r.get_string());
-    return ByteBuffer();
   });
-  add(kListdir, [this](ByteReader& r) {
+  add(kListdir, [this](ByteReader& r, ByteBuffer& out) {
     const auto names = host_.list(r.get_string());
-    ByteBuffer out;
     out.put_varint(names.size());
     for (const auto& n : names) out.put_string(n);
-    return out;
   });
-  add(kMmap, [this](ByteReader& r) {
+  add(kMmap, [this](ByteReader& r, ByteBuffer& out) {
     // The helper validates the path; the enclave-side map() fetches pages
     // on demand through ocall_mmap_fetch.
-    ByteBuffer out;
     out.put_u64(host_.file_size(r.get_string()));
-    return out;
   });
-  add(kMmapFetch, [this](ByteReader& r) {
+  add(kMmapFetch, [this](ByteReader& r, ByteBuffer& out) {
     r.get_u64();  // page index; the helper reads it from its own mapping
     env_.clock.advance(env_.cost.soft_page_fault_cycles);
     // The page content travels back as the response payload; the bridge
     // charges the boundary copy.
-    ByteBuffer out;
     const std::vector<std::uint8_t> page(env_.cost.page_bytes, 0);
     out.put_bytes(page.data(), page.size());
-    return out;
   });
 }
 

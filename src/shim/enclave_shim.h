@@ -5,7 +5,9 @@
 // helper (a HostIo on the untrusted side). This module registers one ocall
 // per relayed routine — so the bridge statistics directly expose per-call
 // ocall counts like the paper's "23x more ocalls" observation — and
-// contributes the corresponding entries to the application's EDL.
+// contributes the corresponding entries to the application's EDL. Both come
+// from one table, edl_interface(), built once per process: the same shim
+// is linked into every enclave.
 //
 // Compared to library-OS approaches the shim is tiny; shim_code_bytes() is
 // what the TCB report charges for it.
@@ -33,8 +35,13 @@ class EnclaveShim final : public IoService {
   // before any relayed call.
   void register_ocalls();
 
-  // Adds the shim's ocalls to the enclave's EDL.
-  static void add_edl_entries(sgx::EdlSpec& edl);
+  // The shim's ocalls, one per relayed routine, indexed by Ocall: the
+  // one definition of their names and signatures.
+  static const sgx::EdlInterface& edl_interface();
+  // Links the shim's ocalls into the enclave's EDL.
+  static void add_edl_entries(sgx::EdlSpec& edl) {
+    edl.link(edl_interface());
+  }
 
   // Size of the shim library linked into the enclave (vs. the millions of
   // LoC of a library OS — §1, §5.4).
@@ -55,7 +62,7 @@ class EnclaveShim final : public IoService {
   const IoStats& stats() const override { return stats_; }
 
  private:
-  // The relayed routines, in EDL order (kOcallNames in enclave_shim.cc).
+  // The relayed routines, in EDL order (edl_interface()).
   enum Ocall : std::size_t {
     kFopen,
     kFwrite,

@@ -193,6 +193,10 @@ class MetricsRegistry {
 // ---------------------------------------------------------------------------
 // Tracing
 
+// Size of the fixed span taxonomy: every tracer names ids
+// 0..kWellKnownNames-1 without interning them (Telemetry::WellKnown).
+inline constexpr std::uint32_t kWellKnownNames = 23;
+
 // Propagated across tasks and enclave transitions: a ring worker or a
 // server worker adopts the submitter's context so the serviced span hangs
 // under the caller's tree. {0, 0} = no context (the adoptee roots a new
@@ -234,7 +238,9 @@ class Tracer {
   }
 
   // Name interning. Registration-time code interns once and hot paths
-  // carry the id; interning is idempotent.
+  // carry the id; interning is idempotent. Ids below kWellKnownNames are
+  // the fixed span taxonomy (Telemetry::WellKnown), the same in every
+  // tracer; names interned at run time follow them.
   std::uint32_t intern(const std::string& name);
   const std::string& name(std::uint32_t id) const;
 
@@ -381,34 +387,36 @@ class AdoptedSpanScope {
 class FlightBus;  // flight.h — forensics layer, attached via set_flight()
 
 // One Telemetry per Env ("machine"): the registry, the tracer and the
-// pre-interned names of the fixed span taxonomy, so hot paths never hash
-// a string.
+// fixed ids of the span taxonomy's names, so hot paths never hash a
+// string and building an Env interns nothing.
 class Telemetry {
  public:
+  // The fixed span names' tracer ids. The names themselves are one
+  // process-wide table in telemetry.cc, in this order.
   struct WellKnown {
     std::uint32_t tcs_wait = 0;
-    std::uint32_t swl_ring = 0;   // caller: enqueue -> completion
-    std::uint32_t swl_serve = 0;  // worker: adopted service span
-    std::uint32_t fiber_sleep = 0;
-    std::uint32_t epc_page_in = 0;
-    std::uint32_t epc_page_out = 0;
-    std::uint32_t gc_collect = 0;
-    std::uint32_t gc_roots = 0;
-    std::uint32_t gc_copy = 0;
-    std::uint32_t gc_weak = 0;
-    std::uint32_t gc_pause = 0;
-    std::uint32_t rmi_dispatch = 0;
-    std::uint32_t rmi_batch = 0;
-    std::uint32_t request = 0;
-    std::uint32_t server_handle = 0;
-    std::uint32_t fault_inject = 0;
-    std::uint32_t enclave_restart = 0;
-    std::uint32_t rmi_retry = 0;
-    std::uint32_t fleet_request = 0;   // router admission -> completion
-    std::uint32_t fleet_failover = 0;  // shard recovery window (either path)
-    std::uint32_t fleet_promote = 0;   // replica promotion inside a failover
-    std::uint32_t fleet_restore = 0;   // per-tenant checkpoint restore
-    std::uint32_t fleet_migrate = 0;   // hot-tenant migration (drain+rebind)
+    std::uint32_t swl_ring = 1;   // caller: enqueue -> completion
+    std::uint32_t swl_serve = 2;  // worker: adopted service span
+    std::uint32_t fiber_sleep = 3;
+    std::uint32_t epc_page_in = 4;
+    std::uint32_t epc_page_out = 5;
+    std::uint32_t gc_collect = 6;
+    std::uint32_t gc_roots = 7;
+    std::uint32_t gc_copy = 8;
+    std::uint32_t gc_weak = 9;
+    std::uint32_t gc_pause = 10;
+    std::uint32_t rmi_dispatch = 11;
+    std::uint32_t rmi_batch = 12;
+    std::uint32_t request = 13;
+    std::uint32_t server_handle = 14;
+    std::uint32_t fault_inject = 15;
+    std::uint32_t enclave_restart = 16;
+    std::uint32_t rmi_retry = 17;
+    std::uint32_t fleet_request = 18;   // router admission -> completion
+    std::uint32_t fleet_failover = 19;  // shard recovery window (either path)
+    std::uint32_t fleet_promote = 20;   // replica promotion inside a failover
+    std::uint32_t fleet_restore = 21;   // per-tenant checkpoint restore
+    std::uint32_t fleet_migrate = 22;   // hot-tenant migration (drain+rebind)
   };
 
   explicit Telemetry(const VirtualClock& clock);
@@ -426,7 +434,10 @@ class Telemetry {
   const MetricsRegistry& metrics() const { return metrics_; }
   Tracer& tracer() { return tracer_; }
   const Tracer& tracer() const { return tracer_; }
-  const WellKnown& names() const { return names_; }
+  static const WellKnown& names() {
+    static constexpr WellKnown kNames;
+    return kNames;
+  }
   const VirtualClock& clock() const { return *clock_; }
 
   // Flight-recorder bus (flight.h). nullptr = disarmed: every recording
@@ -440,7 +451,6 @@ class Telemetry {
   TraceConfig config_;
   MetricsRegistry metrics_;
   Tracer tracer_;
-  WellKnown names_;
   FlightBus* flight_ = nullptr;
 };
 

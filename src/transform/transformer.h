@@ -60,14 +60,11 @@ class BytecodeTransformer {
   TransformResult transform(const model::AppModel& app) const;
 
  private:
-  // Appends a stripped proxy version of `concrete` to `out`.
-  void add_proxy_class(model::AppModel& out, const model::ClassDecl& concrete,
-                       bool concrete_is_trusted) const;
-  // Appends `concrete` plus relay methods for its public methods to `out`.
-  void add_concrete_class(model::AppModel& out,
-                          const model::ClassDecl& concrete) const;
-  void add_edl_entries(sgx::EdlSpec& edl, const model::ClassDecl& concrete,
-                       bool concrete_is_trusted) const;
+  // Appends `concrete` plus a relay method per public method to its own
+  // set, a stripped proxy version to the other set, and the transitions
+  // between them to the EDL.
+  void weave(TransformResult& result, const model::ClassDecl& concrete,
+             bool concrete_is_trusted) const;
 };
 
 }  // namespace msv::xform

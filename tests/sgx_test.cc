@@ -599,6 +599,49 @@ TEST(Bridge, SwitchlessSkipsTransitionCost) {
   EXPECT_EQ(bridge.stats().switchless_calls, 1u);
 }
 
+TEST(Bridge, SwitchlessByUnknownNameThrowsAndAddsNoCall) {
+  Env env;
+  auto enclave = make_enclave(env);
+  TransitionBridge bridge(env, *enclave);
+  const CallId f =
+      bridge.register_ecall("f", [](ByteReader&) { return ByteBuffer(); });
+  EXPECT_THROW(bridge.set_switchless("nope", true), RuntimeFault);
+  EXPECT_EQ(bridge.find_call("nope"), kNoCallId);
+  EXPECT_EQ(bridge.call_names(), std::vector<std::string>{"f"});
+  EXPECT_EQ(bridge.stats().per_call.count("nope"), 0u);
+
+  bridge.set_switchless("f", true);
+  EXPECT_TRUE(bridge.is_switchless(f));
+}
+
+// Bridge span names are interned when spans are first recorded: a tracer
+// switched to full mode after registration still names every transition,
+// with the category its name's prefix gives it.
+TEST(Bridge, TracerConfiguredAfterRegistrationNamesSpans) {
+  Env env;
+  auto enclave = make_enclave(env);
+  TransitionBridge bridge(env, *enclave);
+  const CallId f = bridge.register_ecall(
+      "ecall_gc_scan_trusted", [](ByteReader&) { return ByteBuffer(); });
+  const CallId g =
+      bridge.register_ecall("ecall_main", [](ByteReader&) { return ByteBuffer(); });
+  ByteBuffer resp;
+  bridge.ecall(f, ByteBuffer(), resp);  // untraced
+  env.telemetry.configure(
+      {telemetry::TraceMode::kFull, telemetry::kAllCategories, 1024});
+  bridge.ecall(g, ByteBuffer(), resp);
+  bridge.ecall(f, ByteBuffer(), resp);
+  bridge.ecall(g, ByteBuffer(), resp);
+
+  const telemetry::Tracer& tracer = env.telemetry.tracer();
+  ASSERT_EQ(tracer.spans().size(), 3u);
+  EXPECT_EQ(tracer.name(tracer.spans()[0].name), "ecall_main");
+  EXPECT_EQ(tracer.spans()[0].category, telemetry::Category::kBridge);
+  EXPECT_EQ(tracer.name(tracer.spans()[1].name), "ecall_gc_scan_trusted");
+  EXPECT_EQ(tracer.spans()[1].category, telemetry::Category::kGc);
+  EXPECT_EQ(tracer.spans()[2].name, tracer.spans()[0].name);
+}
+
 TEST(Bridge, HandlerExceptionRestoresSide) {
   Env env;
   auto enclave = make_enclave(env);
@@ -765,9 +808,11 @@ TEST(Edl, RendersTrustedAndUntrustedSections) {
       "void",
       {{"int", "hash", EdlDirection::kIn, ""},
        {"const char*", "buf", EdlDirection::kIn, "len"},
-       {"size_t", "len", EdlDirection::kIn, ""}},
-      false});
-  spec.add_ocall(EdlFunction{"ocall_write", "long", {}, true});
+       {"size_t", "len", EdlDirection::kIn, ""}}});
+  spec.add_ocall(EdlFunction{"ocall_write", "long", {}});
+  EXPECT_EQ(spec.to_edl_text().find("transition_using_threads"),
+            std::string::npos);
+  spec.switchless = true;
   const std::string text = spec.to_edl_text();
   EXPECT_NE(text.find("trusted {"), std::string::npos);
   EXPECT_NE(text.find("untrusted {"), std::string::npos);
@@ -781,8 +826,8 @@ TEST(Edl, RendersTrustedAndUntrustedSections) {
 TEST(Edl, Edger8rGeneratesBothStubs) {
   EdlSpec spec;
   spec.enclave_name = "demo";
-  spec.add_ecall(EdlFunction{"ecall_f", "void", {}, false});
-  spec.add_ocall(EdlFunction{"ocall_g", "void", {}, false});
+  spec.add_ecall(EdlFunction{"ecall_f", "void", {}});
+  spec.add_ocall(EdlFunction{"ocall_g", "void", {}});
   const EdgeRoutines gen = edger8r_generate(spec);
   EXPECT_EQ(gen.routine_count, 4u);
   EXPECT_NE(gen.trusted_source.find("ecall_f"), std::string::npos);

@@ -162,6 +162,51 @@ TEST(TelemetryAdapters, ServerTotalsRoundTrip) {
 
 // ---- Tracer ----------------------------------------------------------------
 
+// The fixed span taxonomy costs an Env no interning: every tracer names
+// the WellKnown ids, interning one of those names returns its fixed id,
+// and the first name interned at run time follows them.
+TEST(TelemetryTracer, WellKnownNamesHaveFixedIds) {
+  VirtualClock clock;
+  telemetry::Telemetry tel(clock);
+  Tracer& tracer = tel.tracer();
+  const telemetry::Telemetry::WellKnown& n = tel.names();
+  const std::pair<std::uint32_t, const char*> fixed[] = {
+      {n.tcs_wait, "tcs.wait"},
+      {n.swl_ring, "swl.ring"},
+      {n.swl_serve, "swl.serve"},
+      {n.fiber_sleep, "fiber.sleep"},
+      {n.epc_page_in, "epc.page_in"},
+      {n.epc_page_out, "epc.page_out"},
+      {n.gc_collect, "gc.collect"},
+      {n.gc_roots, "gc.roots"},
+      {n.gc_copy, "gc.copy"},
+      {n.gc_weak, "gc.weak"},
+      {n.gc_pause, "gc.pause"},
+      {n.rmi_dispatch, "rmi.dispatch"},
+      {n.rmi_batch, "rmi.batch"},
+      {n.request, "request"},
+      {n.server_handle, "server.handle"},
+      {n.fault_inject, "fault.inject"},
+      {n.enclave_restart, "enclave.restart"},
+      {n.rmi_retry, "rmi.retry"},
+      {n.fleet_request, "fleet.request"},
+      {n.fleet_failover, "fleet.failover"},
+      {n.fleet_promote, "fleet.promote"},
+      {n.fleet_restore, "fleet.restore"},
+      {n.fleet_migrate, "fleet.migrate"},
+  };
+  ASSERT_EQ(std::size(fixed), telemetry::kWellKnownNames);
+  for (std::uint32_t i = 0; i < telemetry::kWellKnownNames; ++i) {
+    EXPECT_EQ(fixed[i].first, i) << fixed[i].second;
+    EXPECT_EQ(tracer.name(fixed[i].first), fixed[i].second);
+    EXPECT_EQ(tracer.intern(fixed[i].second), fixed[i].first);
+  }
+  const std::uint32_t dynamic = tracer.intern("task:worker");
+  EXPECT_EQ(dynamic, telemetry::kWellKnownNames);
+  EXPECT_EQ(tracer.intern("task:worker"), dynamic);
+  EXPECT_EQ(tracer.name(dynamic), "task:worker");
+}
+
 TEST(TelemetryTracer, SpansNestAndCarryTraceContext) {
   VirtualClock clock;
   Tracer tracer(clock);

@@ -220,9 +220,9 @@ TEST(ImageBuilder, MeasurementIsStableAndTamperSensitive) {
   const TransformResult r2 = transform_bank();
   const NativeImage a = ImageBuilder().build(r1.trusted, true);
   const NativeImage b = ImageBuilder().build(r2.trusted, true);
-  const sgx::EdgeRoutines edge = sgx::edger8r_generate(r1.edl);
+  const std::string edge = sgx::edger8r_trusted_source(r1.edl);
   EXPECT_EQ(core::measure_enclave_blob(a, edge),
-            core::measure_enclave_blob(b, sgx::edger8r_generate(r2.edl)))
+            core::measure_enclave_blob(b, sgx::edger8r_trusted_source(r2.edl)))
       << "same input -> same MRENCLAVE";
 
   NativeImage tampered = ImageBuilder().build(r1.trusted, true);

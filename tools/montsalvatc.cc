@@ -124,9 +124,10 @@ int main(int argc, char** argv) {
       std::fputs(sgx_app.edl().to_edl_text().c_str(), stdout);
     }
     if (emit_bridges) {
-      std::fputs(sgx_app.edge_routines().header.c_str(), stdout);
-      std::fputs(sgx_app.edge_routines().trusted_source.c_str(), stdout);
-      std::fputs(sgx_app.edge_routines().untrusted_source.c_str(), stdout);
+      const sgx::EdgeRoutines edge = sgx_app.edge_routines();
+      std::fputs(edge.header.c_str(), stdout);
+      std::fputs(edge.trusted_source.c_str(), stdout);
+      std::fputs(edge.untrusted_source.c_str(), stdout);
     }
     if (emit_images) {
       print_image(sgx_app.trusted_image());
