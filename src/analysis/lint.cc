@@ -800,11 +800,12 @@ class Linter {
   }
 
   // MSV009: batch_async() claims the method is safe to reorder within a
-  // batched flush (proxy_runtime.h's BatchBuilder pipelines such calls
-  // freely). A body that performs a sink intrinsic (I/O, print — effects
-  // observable outside the receiver) or calls/constructs other objects
-  // (effects on state other batched calls may touch) makes that claim
-  // dubious: flag it. Pure field reads/writes on the receiver and local
+  // batch. The claim is checked on the declaration alone: no runtime path
+  // reorders batched calls (ProxyRuntime::invoke_batch runs a frame's
+  // entries in order). A body that performs a sink intrinsic (I/O, print
+  // — effects observable outside the receiver) or calls/constructs other
+  // objects (effects on state other batched calls may touch) makes that
+  // claim dubious: flag it. Pure field reads/writes on the receiver and local
   // arithmetic are fine. `Class.method` entries in batch_reorder_exempt
   // suppress the finding for audited declarations.
   void check_batch_async() {

@@ -122,8 +122,7 @@ model::AppModel build_micro_app() {
     // declared signature is all-primitive, so its relay qualifies for the
     // fixed-layout wire path.
     // batch_async: a pure receiver-field write commutes with any batch it
-    // can appear in, so the async RMI layer may pipeline it (MSV009 keeps
-    // this honest).
+    // can appear in (MSV009 checks the claim).
     cls.add_method("set", 1)
         .primitive_signature()
         .batch_async()

@@ -93,8 +93,8 @@ class MethodDecl {
   // Declares that every parameter and the return value are primitives
   // (null/bool/i32/i64/f64). The analog of a Java signature like
   // `void set(int)`: the transformer copies the flag onto the generated
-  // proxy stub and relay, and the RMI layer uses it to pick the
-  // fixed-layout wire fast path without inspecting arguments per call.
+  // proxy stub and relay, and msvlint checks the claim. The RMI layer
+  // picks the fixed-layout wire path per argument and does not read it.
   MethodDecl& primitive_signature(bool v = true);
   // Declares the method safe to reorder within a batched RMI flush
   // (DESIGN.md §13): invoking it carries no ordering dependency on other

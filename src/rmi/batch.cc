@@ -140,16 +140,4 @@ std::vector<BatchResultView> decode_batch_response(const std::uint8_t* data,
   return results;
 }
 
-rt::Value RmiFuture::get() {
-  MSV_CHECK_MSG(state_ != nullptr, "get() on an empty RmiFuture");
-  if (!state_->done && state_->sink != nullptr) {
-    state_->sink->flush_batches();
-  }
-  MSV_CHECK_MSG(state_->done,
-                "RmiFuture unresolved after flush (runtime destroyed with a "
-                "pending batch?)");
-  if (state_->error) std::rethrow_exception(state_->error);
-  return state_->result;
-}
-
 }  // namespace msv::rmi

@@ -1,10 +1,10 @@
-// Batched & asynchronous RMI (DESIGN.md §13).
+// Batched RMI (DESIGN.md §13): the wire codec of the batch frame.
 //
 // Every proxy invocation pays a full enclave transition (~13,100 cycles)
 // plus an isolate attach on the callee side (~480,000 cycles for the
 // trusted image) — the dominant cost on chatty partitioned workloads.
-// This header holds the pieces ProxyRuntime's futures flush and its
-// synchronous invoke_batch share:
+// ProxyRuntime::invoke_batch, the one caller-side batch builder, packs N
+// calls into one frame so both are paid once. This header holds:
 //
 //   * the batch wire frame: N per-call payloads packed into one request
 //     buffer, dispatched by a single bridge transition, with the packed
@@ -12,11 +12,7 @@
 //   * bounded decoding of that frame (BatchLimits / BatchCodecError):
 //     the callee parses attacker-reachable bytes, so counts and sizes are
 //     validated before any allocation — the same discipline as the
-//     sealed-storage SealedBlob deserializer;
-//   * RmiFuture, the caller-side handle for one batched call. Callers
-//     enqueue invocations and keep running; the pending batch flushes on
-//     size bounds, explicit flush, a synchronous call on the same
-//     runtime, a scheduler suspension point, or the first get().
+//     sealed-storage SealedBlob deserializer.
 //
 // Wire layout (request):   varint count, then per entry:
 //                          varint call_id, varint nbytes, payload bytes
@@ -27,11 +23,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "runtime/value.h"
 #include "support/bytes.h"
 #include "support/error.h"
 
@@ -100,41 +94,5 @@ inline std::vector<BatchResultView> decode_batch_response(
     const ByteBuffer& buf, std::uint64_t expected, const BatchLimits& limits) {
   return decode_batch_response(buf.data(), buf.size(), expected, limits);
 }
-
-// ---- Futures --------------------------------------------------------------
-
-// Flush hook the future uses to force its batch out on first get(); the
-// batching runtimes implement it. An interface (not a std::function) so
-// the shared state stays one allocation.
-class BatchFlushSink {
- public:
-  virtual ~BatchFlushSink() = default;
-  virtual void flush_batches() = 0;
-};
-
-struct RmiFutureState {
-  bool done = false;
-  rt::Value result;
-  std::exception_ptr error;
-  BatchFlushSink* sink = nullptr;  // cleared when the batch resolves
-};
-
-// Handle for one batched invocation. get() forces the owning runtime to
-// flush the pending batch if this call has not been dispatched yet, then
-// returns the decoded result (or rethrows the call's error — including a
-// whole-batch failure such as StaleProxyError after an enclave loss).
-class RmiFuture {
- public:
-  RmiFuture() = default;
-  explicit RmiFuture(std::shared_ptr<RmiFutureState> state)
-      : state_(std::move(state)) {}
-
-  bool valid() const { return state_ != nullptr; }
-  bool ready() const { return state_ != nullptr && state_->done; }
-  rt::Value get();
-
- private:
-  std::shared_ptr<RmiFutureState> state_;
-};
 
 }  // namespace msv::rmi

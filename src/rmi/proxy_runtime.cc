@@ -34,14 +34,6 @@ ProxyRuntime::ProxyRuntime(Env& env, sgx::TransitionBridge& bridge,
   untrusted_.next_scan = scan_period_;
 }
 
-ProxyRuntime::~ProxyRuntime() {
-  // The suspend hook captures `this`; unhook before the runtime dies (the
-  // scheduler outlives the RMI layer by the documented destruction order).
-  if (hook_installed_ && bridge_.scheduler() != nullptr) {
-    bridge_.scheduler()->set_suspend_hook(nullptr);
-  }
-}
-
 const ProxyRuntime::SideState& ProxyRuntime::state(
     Side side, std::uint32_t isolate) const {
   if (side == Side::kUntrusted) return untrusted_;
@@ -318,6 +310,18 @@ Value ProxyRuntime::decode_result(SideState& caller, std::uint32_t peer,
   return result;
 }
 
+Value ProxyRuntime::relay_call(SideState& from, const RelayPlan& plan,
+                               std::int64_t self_hash, bool is_static,
+                               const std::vector<Value>& args) {
+  SideState& to = callee_of(from, self_hash, is_static);
+  ++stats_.remote_invocations;
+  ArenaLease payload(arena_);
+  encode_call(*payload, from, to, self_hash, args, routed_);
+  ArenaLease response(arena_);
+  transition(plan.id, plan.via_ecall, *payload, *response);
+  return decode_result(from, to.id, response->data(), response->size());
+}
+
 void ProxyRuntime::transition(sgx::CallId id, bool via_ecall,
                               const ByteBuffer& payload, ByteBuffer& response) {
   if (!routed_) pump_gc();
@@ -361,10 +365,6 @@ std::int64_t ProxyRuntime::self_hash_of(ExecContext& caller,
 Value ProxyRuntime::construct(SideState& from, SideState& to,
                               const ClassDecl& proxy_cls,
                               std::vector<Value>& args) {
-  // Construction is always synchronous; a pending batch flushes first so
-  // program order is preserved (the new mirror may be touched by code the
-  // caller runs right after `new`).
-  if (config_.batching) flush_batches();
   ++stats_.transitions;
   const MethodDecl* ctor_stub = proxy_cls.find_method(model::kConstructorName);
   MSV_CHECK_MSG(ctor_stub != nullptr &&
@@ -403,9 +403,6 @@ Value ProxyRuntime::invoke_proxy(ExecContext& caller, const GcRef& proxy,
                                  const ClassDecl& proxy_cls,
                                  const MethodDecl& stub,
                                  std::vector<Value>& args) {
-  // Dependency fence: a synchronous call both observes results of and
-  // orders after everything already enqueued.
-  if (config_.batching) flush_batches();
   ++stats_.transitions;
   SideState& from = state_of(caller);
   MSV_CHECK_MSG(stub.kind() == MethodKind::kProxyStub, "not a proxy stub");
@@ -415,209 +412,17 @@ Value ProxyRuntime::invoke_proxy(ExecContext& caller, const GcRef& proxy,
   // decoding.
   telemetry::SpanScope span(env_.telemetry.tracer(), telemetry::Category::kRmi,
                             plan.span_name);
-  const std::int64_t self_hash = self_hash_of(caller, proxy, proxy_cls, stub);
-  SideState& to = callee_of(from, self_hash, stub.is_static());
-  ++stats_.remote_invocations;
-
-  ArenaLease payload(arena_);
-  encode_call(*payload, from, to, self_hash, args, routed_);
-  ArenaLease response(arena_);
-  transition(plan.id, plan.via_ecall, *payload, *response);
-  return decode_result(from, to.id, response->data(), response->size());
+  return relay_call(from, plan, self_hash_of(caller, proxy, proxy_cls, stub),
+                    stub.is_static(), args);
 }
 
 // ---------------------------------------------------------------------------
-// Batched & async RMI (caller side, DESIGN.md §13)
-
-void ProxyRuntime::set_batching(bool enabled) {
-  if (!enabled) flush_batches();
-  config_.batching = enabled;
-}
-
-void ProxyRuntime::install_suspend_hook() {
-  if (hook_installed_) return;
-  sched::Scheduler* sched = bridge_.scheduler();
-  if (sched == nullptr) return;
-  // Flush at every voluntary suspension point: once control can change
-  // hands, another task could observe state a pending call mutates.
-  sched->set_suspend_hook([this] { flush_batches(); });
-  hook_installed_ = true;
-}
-
-RmiFuture ProxyRuntime::invoke_proxy_async(ExecContext& caller,
-                                           const GcRef& proxy,
-                                           const ClassDecl& proxy_cls,
-                                           const MethodDecl& stub,
-                                           std::vector<Value>& args) {
-  MSV_CHECK_MSG(stub.kind() == MethodKind::kProxyStub, "not a proxy stub");
-  bool all_primitive = config_.batching && stub.has_primitive_signature();
-  for (const auto& a : args) {
-    if (!all_primitive) break;
-    all_primitive = is_primitive(a);
-  }
-  // Conservative dependency rule: a call that is not declared-and-actually
-  // all-primitive may carry refs aliasing state an earlier batched call
-  // mutates (or a batch may be mid-flush already) — flush and run it
-  // synchronously, returning a resolved future.
-  if (!all_primitive || flushing_) {
-    auto state = std::make_shared<RmiFutureState>();
-    state->done = true;
-    try {
-      state->result = invoke_proxy(caller, proxy, proxy_cls, stub, args);
-    } catch (const sched::TaskCancelled&) {
-      throw;
-    } catch (...) {
-      state->error = std::current_exception();
-    }
-    return RmiFuture(std::move(state));
-  }
-
-  SideState& from = state_of(caller);
-  const RelayPlan& plan = plan_for(stub);
-  // One pending batch per runtime: a caller-side or direction change is a
-  // dependency boundary and flushes (strict order per (task, side)).
-  if (!pending_calls_.empty() &&
-      (pending_from_ != &from || pending_via_ecall_ != plan.via_ecall)) {
-    flush_batches();
-  }
-  install_suspend_hook();
-
-  const std::int64_t self_hash = self_hash_of(caller, proxy, proxy_cls, stub);
-  SideState& to = callee_of(from, self_hash, stub.is_static());
-  // So is a change of target isolate: each frame has one target.
-  if (!pending_calls_.empty() && pending_to_ != &to) flush_batches();
-  ++stats_.remote_invocations;
-
-  // Marshal now, into a scratch buffer first so charge_serialize sees this
-  // call's bytes exactly as the unbatched encoder would; the single-call
-  // form is then appended to the pending frame body.
-  ArenaLease scratch(arena_);
-  encode_call(*scratch, from, to, self_hash, args, routed_);
-  const std::size_t offset = batch_buf_.size();
-  batch_buf_.put_bytes(scratch->data(), scratch->size());
-
-  auto state = std::make_shared<RmiFutureState>();
-  state->sink = this;
-  pending_from_ = &from;
-  pending_to_ = &to;
-  pending_via_ecall_ = plan.via_ecall;
-  pending_calls_.push_back(
-      PendingCall{&plan, state, offset, scratch->size()});
-
-  if (pending_calls_.size() >= kFlushCalls ||
-      batch_buf_.size() >= kFlushBytes) {
-    flush_batches();
-  }
-  return RmiFuture(std::move(state));
-}
-
-void ProxyRuntime::flush_batches() {
-  if (flushing_ || pending_calls_.empty()) return;
-  flushing_ = true;
-  try {
-    do_flush();
-  } catch (...) {
-    // Cancellation (or a codec bug) unwinding through the flush: orphan
-    // the futures cleanly so a surviving get() fails loud, not dangling.
-    for (auto& c : pending_calls_) c.state->sink = nullptr;
-    pending_calls_.clear();
-    batch_buf_.clear();
-    pending_from_ = pending_to_ = nullptr;
-    flushing_ = false;
-    throw;
-  }
-  pending_calls_.clear();
-  batch_buf_.clear();
-  pending_from_ = pending_to_ = nullptr;
-  flushing_ = false;
-}
-
-void ProxyRuntime::do_flush() {
-  SideState& from = *pending_from_;
-  SideState& to = *pending_to_;
-  const std::size_t n = pending_calls_.size();
-  ++stats_.transitions;
-  ++stats_.batch_flushes;
-  stats_.batched_calls += n;
-
-  // A single pending call replays the unbatched wire path exactly: its
-  // single-call payload IS the whole request, no frame header ever exists,
-  // and the simulated cycle charges are byte-identical to a sync call (the
-  // batch-size-1 honesty contract asserted by bench/abl_rmi_batch). From
-  // two calls on: one rmi.batch span with a zero-duration child marker per
-  // packed call (tracing charges no cycles), one frame, ONE transition. A
-  // routed frame carries its route once; each entry is its call's payload
-  // after the route prefix its enqueue charge already covered.
-  const bool single = n == 1;
-  const RelayPlan& first = *pending_calls_.front().plan;
-  telemetry::SpanScope span(
-      env_.telemetry.tracer(), telemetry::Category::kRmi,
-      single ? first.span_name : env_.telemetry.names().rmi_batch);
-  ArenaLease frame(arena_);
-  if (!single) {
-    std::size_t route = 0;
-    if (routed_) {
-      frame->put_u32(to.id);
-      frame->put_u32(from.id);
-      route = frame->size();
-    }
-    encode_batch_header(*frame, n);
-    for (const auto& c : pending_calls_) {
-      telemetry::SpanScope marker(env_.telemetry.tracer(),
-                                  telemetry::Category::kRmi, c.plan->span_name);
-      encode_batch_entry(*frame, c.plan->id,
-                         batch_buf_.data() + c.offset + route, c.size - route);
-    }
-  }
-  ArenaLease response(arena_);
-  try {
-    if (single) {
-      transition(first.id, first.via_ecall, batch_buf_, *response);
-    } else {
-      transition(pending_via_ecall_ ? batch_ecall_id_ : batch_ocall_id_,
-                 pending_via_ecall_, *frame, *response);
-    }
-  } catch (const sched::TaskCancelled&) {
-    throw;
-  } catch (...) {
-    // Whole-batch failure (enclave lost mid-batch, transition fault):
-    // every packed call fails with the same error, surfaced per-future at
-    // get() and retried by the caller's usual recovery policy.
-    const std::exception_ptr err = std::current_exception();
-    for (auto& c : pending_calls_) {
-      c.state->error = err;
-      c.state->done = true;
-      c.state->sink = nullptr;
-    }
-    return;
-  }
-
-  std::vector<BatchResultView> results;
-  if (single) {
-    results.push_back({true, response->data(), response->size()});
-  } else {
-    results = decode_batch_response(*response, n, batch_limits_);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    PendingCall& c = pending_calls_[i];
-    const BatchResultView& v = results[i];
-    if (v.ok) {
-      c.state->result = decode_result(from, to.id, v.data, v.size);
-    } else {
-      c.state->error = std::make_exception_ptr(RuntimeFault(
-          std::string(reinterpret_cast<const char*>(v.data), v.size)));
-    }
-    c.state->done = true;
-    c.state->sink = nullptr;
-  }
-}
+// Batched RMI (caller side, DESIGN.md §13)
 
 std::vector<ProxyRuntime::BatchOutcome> ProxyRuntime::invoke_batch(
     const std::vector<BatchCall>& calls) {
   MSV_CHECK_MSG(!calls.empty(), "empty RMI batch");
   MSV_CHECK_MSG(handlers_registered_, "invoke_batch before register_handlers");
-  // Dependency fence, as for any synchronous call.
-  if (config_.batching) flush_batches();
   SideState& from = untrusted_;
 
   // Resolve the owning isolate and fence every proxy before any
@@ -638,6 +443,19 @@ std::vector<ProxyRuntime::BatchOutcome> ProxyRuntime::invoke_batch(
     to = &owner;
   }
   ++stats_.transitions;
+  std::vector<BatchOutcome> out(calls.size());
+
+  // A batch of one is the unbatched call: its own relay, route prefix,
+  // span and charges, no frame. Framing engages only at two calls.
+  if (calls.size() == 1) {
+    const RelayPlan& plan = plan_for(*calls[0].stub);
+    telemetry::SpanScope span(env_.telemetry.tracer(),
+                              telemetry::Category::kRmi, plan.span_name);
+    out[0].ok = true;
+    out[0].value = relay_call(from, plan, hashes[0], /*is_static=*/false,
+                              calls[0].args);
+    return out;
+  }
   ++stats_.batch_flushes;
   stats_.batched_calls += calls.size();
   stats_.remote_invocations += calls.size();
@@ -664,7 +482,6 @@ std::vector<ProxyRuntime::BatchOutcome> ProxyRuntime::invoke_batch(
 
   const std::vector<BatchResultView> results =
       decode_batch_response(*response, calls.size(), batch_limits_);
-  std::vector<BatchOutcome> out(calls.size());
   for (std::size_t i = 0; i < calls.size(); ++i) {
     const BatchResultView& v = results[i];
     if (v.ok) {
@@ -773,12 +590,11 @@ void ProxyRuntime::run_relay(const RelaySite& site, SideState& callee,
                    out.size());
 }
 
-void ProxyRuntime::dispatch_batch(SideState& endpoint, ByteReader& in,
-                                  ByteBuffer& out) {
+void ProxyRuntime::dispatch_batch(ByteReader& in, ByteBuffer& out) {
   telemetry::SpanScope span(env_.telemetry.tracer(), telemetry::Category::kRmi,
                             env_.telemetry.names().rmi_batch);
   std::uint32_t caller;
-  SideState& callee = read_route(endpoint, in, caller);
+  SideState& callee = read_route(trusted_.front(), in, caller);
   // One isolate attach for the whole frame; each packed dispatch then
   // runs with charge_attach=false. This is the batched counterpart of the
   // per-call attach in run_relay.
@@ -811,7 +627,7 @@ void ProxyRuntime::dispatch_batch(SideState& endpoint, ByteReader& in,
       throw;
     } catch (const Error& f) {
       // Per-entry application fault: report it in-band so the rest of the
-      // batch still executes; the caller rethrows it from that future.
+      // batch still executes; the caller fails just that call.
       ok = false;
       err = f.what();
     }
@@ -871,16 +687,11 @@ void ProxyRuntime::register_handlers() {
   register_side(trusted_.front());
   register_side(untrusted_);
 
-  // Batch endpoints: one ecall/ocall carries a whole frame of packed
-  // relay invocations (DESIGN.md §13).
+  // Batch endpoint: one ecall carries a whole frame of packed relay
+  // invocations into a trusted isolate (DESIGN.md §13).
   batch_ecall_id_ = bridge_.register_ecall_raw(
-      "ecall_rmi_batch", [this](ByteReader& in, ByteBuffer& out) {
-        dispatch_batch(trusted_.front(), in, out);
-      });
-  batch_ocall_id_ = bridge_.register_ocall_raw(
-      "ocall_rmi_batch", [this](ByteReader& in, ByteBuffer& out) {
-        dispatch_batch(untrusted_, in, out);
-      });
+      "ecall_rmi_batch",
+      [this](ByteReader& in, ByteBuffer& out) { dispatch_batch(in, out); });
 
   // GC-helper transitions (§5.5); the interned IDs are kept for the
   // eviction/scan dispatch sites. With N >= 2, ecall frames open with the

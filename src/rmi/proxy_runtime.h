@@ -14,7 +14,10 @@
 //     (kRefOwnedByEncoder/kRefOwnedByDecoder, see wire.h); proxies are
 //     materialized on demand and cached per hash so each object has at
 //     most one live proxy per isolate;
-//   * neutral values are serialized and copied.
+//   * neutral values are serialized and copied;
+//   * invoke_batch packs N calls into one frame for one trusted isolate,
+//     crossing on one `ecall_rmi_batch` transition and one isolate attach
+//     (DESIGN.md §13).
 //
 // Every trusted isolate runs the same trusted image in its own heap,
 // collected independently (§2.2); N = 1 is the paper's deployment. With
@@ -66,13 +69,13 @@ struct RmiStats {
   // Calls whose request marshalling stayed entirely on the primitive
   // fixed-layout path (no ref-encoder indirection).
   std::uint64_t fast_path_calls = 0;
-  // RMI-layer bridge round trips. A batched flush dispatches N logical
+  // RMI-layer bridge round trips. A batch frame dispatches N logical
   // calls over ONE transition, so under batching this grows slower than
   // remote_invocations — the per-call accounting the batching layer must
   // keep honest (a transition != a call once batches exist).
   std::uint64_t transitions = 0;
   // Logical calls that travelled inside a batch frame, and the number of
-  // flushes that dispatched at least one pending call.
+  // batch frames dispatched (a batch of one sends no frame).
   std::uint64_t batched_calls = 0;
   std::uint64_t batch_flushes = 0;
 };
@@ -86,18 +89,12 @@ class StaleProxyError : public RuntimeFault {
   explicit StaleProxyError(const std::string& what) : RuntimeFault(what) {}
 };
 
-class ProxyRuntime final : public interp::RemoteInvoker,
-                           public BatchFlushSink {
+class ProxyRuntime final : public interp::RemoteInvoker {
  public:
   struct Config {
     HashScheme hash_scheme = HashScheme::kMd5;
     // §5.5: the helper threads scan "periodically (e.g., every second)".
     double gc_scan_period_seconds = 1.0;
-    // Cross-boundary call batching (DESIGN.md §13): invoke_proxy_async
-    // packs calls into one wire frame dispatched by a single transition.
-    // Off by default — the sync API is byte-identical either way; only
-    // the async API changes behaviour.
-    bool batching = false;
   };
 
   // `trusted` holds one context per trusted isolate (at least one), all
@@ -105,11 +102,10 @@ class ProxyRuntime final : public interp::RemoteInvoker,
   ProxyRuntime(Env& env, sgx::TransitionBridge& bridge,
                const std::vector<interp::ExecContext*>& trusted,
                interp::ExecContext& untrusted, Config config);
-  ~ProxyRuntime() override;
 
   // Registers the relay handlers (every kRelay method of both images,
   // under the transition names the transformer gave them), the batch
-  // endpoints and the GC eviction transitions on the bridge. Call exactly
+  // endpoint and the GC eviction transitions on the bridge. Call exactly
   // once.
   void register_handlers();
 
@@ -138,32 +134,7 @@ class ProxyRuntime final : public interp::RemoteInvoker,
                          const model::MethodDecl& stub,
                          std::vector<rt::Value>& args) override;
 
-  // ---- Batched & async RMI (DESIGN.md §13) ----
-  // Enables (or disables) call batching at run time. Flushes any pending
-  // batch first, so toggling never reorders calls.
-  void set_batching(bool enabled);
-  // Enqueues one invocation into the pending batch and returns a future
-  // for its result. Marshalling (and its cycle charge) happens now; the
-  // transition is deferred to the flush. Strict program order per
-  // (caller task, direction) is preserved: the batch flushes before any
-  // synchronous call, on a caller-side, direction or target-isolate
-  // change, when the size bounds fill, at every scheduler suspension
-  // point, and on the first get(). Calls with non-primitive arguments
-  // (which may alias proxy state earlier batched calls mutate)
-  // conservatively flush and run synchronously — their future returns
-  // already resolved.
-  RmiFuture invoke_proxy_async(interp::ExecContext& caller,
-                               const rt::GcRef& proxy,
-                               const model::ClassDecl& proxy_cls,
-                               const model::MethodDecl& stub,
-                               std::vector<rt::Value>& args);
-  // Dispatches the pending batch (one bridge transition for N calls);
-  // no-op when nothing is pending. Whole-batch failures (enclave loss
-  // mid-batch) resolve every pending future with the error — surfaced at
-  // each get(), retried by the serving layer's existing backoff ladder.
-  void flush_batches() override;
-  std::size_t pending_batch_calls() const { return pending_calls_.size(); }
-
+  // ---- Batched RMI (DESIGN.md §13) ----
   // One packed invocation for invoke_batch: an instance call on an
   // untrusted-side proxy whose mirror lives in a trusted isolate.
   struct BatchCall {
@@ -179,12 +150,15 @@ class ProxyRuntime final : public interp::RemoteInvoker,
     rt::Value value;
     std::string error;
   };
-  // Packs `calls` into one batch transition and waits for it. All proxies
-  // must be owned by the same trusted isolate, and every proxy is fenced
-  // *up front*: a stale proxy fails the whole batch with StaleProxyError
-  // before any transition happens, so the serving layer's recovery ladder
-  // retries the batch as a unit. Transition-level faults (enclave lost
-  // mid-batch) likewise abort the whole batch by throwing.
+  // Packs `calls` into one batch transition and waits for it: the one
+  // caller-side batch builder. All proxies must be owned by the same
+  // trusted isolate, and every proxy is fenced *up front*: a stale proxy
+  // fails the whole batch with StaleProxyError before any transition
+  // happens, so the serving layer's recovery ladder retries the batch as
+  // a unit. Transition-level faults (enclave lost mid-batch) likewise
+  // abort the whole batch by throwing. A batch of one is the unbatched
+  // call byte for byte (no frame; the relay's own transition, span and
+  // charges), so its application fault throws as invoke_proxy's would.
   std::vector<BatchOutcome> invoke_batch(const std::vector<BatchCall>& calls);
 
   // ---- Fencing (DESIGN.md §12, §14) ----
@@ -314,8 +288,8 @@ class ProxyRuntime final : public interp::RemoteInvoker,
   // Encodes [route] + self-hash + args into `buf` (empty on entry),
   // taking the fixed-layout shortcut per primitive argument, and charges
   // charge_serialize for every byte written. `routed` writes the u32
-  // target/caller prefix: set for single calls and futures with N >= 2,
-  // never for invoke_batch's entries.
+  // target/caller prefix: set for single calls with N >= 2, never for
+  // invoke_batch's entries.
   void encode_call(ByteBuffer& buf, SideState& caller, SideState& callee,
                    std::int64_t self_hash, const std::vector<rt::Value>& args,
                    bool routed);
@@ -323,6 +297,13 @@ class ProxyRuntime final : public interp::RemoteInvoker,
   // charge_deserialize for it.
   rt::Value decode_result(SideState& caller, std::uint32_t peer,
                           const std::uint8_t* data, std::size_t size);
+  // The single-call wire path of invoke_proxy and of a batch of one:
+  // routes (and fences) the call, marshals it with its route, makes the
+  // relay transition and decodes the result. The caller has counted the
+  // transition and opened the call's span.
+  rt::Value relay_call(SideState& from, const RelayPlan& plan,
+                       std::int64_t self_hash, bool is_static,
+                       const std::vector<rt::Value>& args);
   // Top-level transition of the RMI layer: pumps the periodic GC helpers
   // (one trusted isolate only), then dispatches `payload` by interned ID;
   // the response is written into `response`.
@@ -344,22 +325,11 @@ class ProxyRuntime final : public interp::RemoteInvoker,
                  std::uint32_t caller, ByteReader& in, ByteBuffer& out,
                  bool charge_attach);
 
-  // Callee-side body of the batch transition: bounded-decodes the frame,
-  // dispatches every entry through its RelaySite (isolate attach charged
-  // once), packs per-entry results/errors into the response frame.
-  void dispatch_batch(SideState& endpoint, ByteReader& in, ByteBuffer& out);
-
-  // One enqueued-but-not-yet-dispatched batched call. Its single-call wire
-  // form (route prefix included) lives at [offset, offset + size) of
-  // batch_buf_.
-  struct PendingCall {
-    const RelayPlan* plan;
-    std::shared_ptr<RmiFutureState> state;
-    std::size_t offset;
-    std::size_t size;
-  };
-  void install_suspend_hook();
-  void do_flush();
+  // Callee-side body of the batch transition (ecall_rmi_batch):
+  // bounded-decodes the frame, dispatches every entry through its
+  // RelaySite (isolate attach charged once), packs per-entry
+  // results/errors into the response frame.
+  void dispatch_batch(ByteReader& in, ByteBuffer& out);
 
   // Scans `local`'s weak list; returns the hashes of collected proxies and
   // compacts the list and the proxy cache.
@@ -409,21 +379,8 @@ class ProxyRuntime final : public interp::RemoteInvoker,
   // the CallId index the batch dispatcher routes entries through.
   std::deque<RelaySite> relay_sites_;
   std::unordered_map<sgx::CallId, const RelaySite*> sites_by_id_;
-
-  // ---- Pending batch (one per runtime: one caller, direction, target) ----
-  std::vector<PendingCall> pending_calls_;
-  ByteBuffer batch_buf_;  // concatenated single-call payloads
-  SideState* pending_from_ = nullptr;
-  SideState* pending_to_ = nullptr;
-  bool pending_via_ecall_ = false;
-  bool flushing_ = false;
-  bool hook_installed_ = false;
   BatchLimits batch_limits_;
-  // Flush bounds of the pending batch (calls / marshalled bytes).
-  static constexpr std::size_t kFlushCalls = 64;
-  static constexpr std::size_t kFlushBytes = 64 * 1024;
   sgx::CallId batch_ecall_id_ = sgx::kNoCallId;
-  sgx::CallId batch_ocall_id_ = sgx::kNoCallId;
 
   // Argument-vector pool for relay dispatch (constructor relays consume
   // their vector and simply don't return it).

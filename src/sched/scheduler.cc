@@ -361,21 +361,8 @@ void Scheduler::poll_sampler() {
   }
 }
 
-void Scheduler::run_suspend_hook() {
-  if (!suspend_hook_ || in_suspend_hook_ || current_ == kNoTask) return;
-  in_suspend_hook_ = true;
-  try {
-    suspend_hook_();
-  } catch (...) {
-    in_suspend_hook_ = false;
-    throw;
-  }
-  in_suspend_hook_ = false;
-}
-
 void Scheduler::yield() {
   poll_sampler();
-  run_suspend_hook();
   Task& t = current_task();
   t.state = Task::State::kReady;
   ready_.push_back(t.id);
@@ -384,7 +371,6 @@ void Scheduler::yield() {
 
 void Scheduler::sleep_until(Cycles deadline) {
   poll_sampler();
-  run_suspend_hook();
   Task& t = current_task();
   ++stats_.sleeps;
   if (t.wake_pending) {  // a latched wake cancels the sleep outright
@@ -421,7 +407,6 @@ void Scheduler::join(TaskId id) {
 
 void Scheduler::suspend() {
   poll_sampler();
-  run_suspend_hook();
   Task& t = current_task();
   if (t.wake_pending) {
     t.wake_pending = false;

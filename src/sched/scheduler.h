@@ -119,18 +119,6 @@ class Scheduler {
   // the destructor calls it automatically.
   void cancel_all();
 
-  // Pre-suspension hook, invoked in the suspending task's context at the
-  // top of every voluntary suspension point (yield / sleep / suspend; join
-  // parks through suspend). The batching RMI layer hangs its flush here so
-  // a pending batch never outlives the quantum that built it — any work
-  // another task could observe is forced out before control changes hands.
-  // Reentrancy-guarded: suspensions performed *by* the hook (the flush's
-  // own bridge transition sleeps through charge_transition) do not re-fire
-  // it. One hook per scheduler; replace with nullptr to clear.
-  void set_suspend_hook(std::function<void()> hook) {
-    suspend_hook_ = std::move(hook);
-  }
-
   // Sampling-profiler hook (telemetry/sampler.h). The scheduler owns
   // every point where simulated time is charged between context changes,
   // so it polls the profiler at each voluntary suspension point and task
@@ -165,7 +153,6 @@ class Scheduler {
   [[noreturn]] void exit_task(Task& t);
   void make_ready(Task& t);
   void finishd(Task& t);             // bookkeeping when a task ends
-  void run_suspend_hook();           // guarded; no-op outside tasks
   void poll_sampler();               // one pointer test when detached
   bool promote_due_sleepers();
   // Earliest valid sleeper deadline, or false if none.
@@ -193,8 +180,6 @@ class Scheduler {
   std::size_t live_nondaemon_ = 0;
   std::size_t live_total_ = 0;
   bool cancelling_ = false;
-  std::function<void()> suspend_hook_;
-  bool in_suspend_hook_ = false;
   telemetry::SampleProfiler* sampler_ = nullptr;
   SchedulerStats stats_;
 

@@ -129,10 +129,11 @@ struct ServerConfig {
   // slot; N > 0 = one lane shared by every slot, served by N workers.
   std::uint32_t shared_workers = 0;
   // Cross-boundary call coalescing (DESIGN.md §13): a worker waking to a
-  // backlog drains up to this many queued requests in one swing and packs
-  // them into a single "ecall_rmi_batch" transition, paying the
-  // 13,100-cycle ecall and the isolate attach once for the batch. 1 (the
-  // default) disables coalescing; the single-request path is untouched.
+  // backlog of two or more drains up to this many queued requests in one
+  // swing and serves them with one ProxyRuntime::invoke_batch, a single
+  // "ecall_rmi_batch" transition paying the 13,100-cycle ecall and the
+  // isolate attach once for the batch. 1 (the default) disables
+  // coalescing; the single-request path is untouched.
   std::uint32_t coalesce_max = 1;
   // Wake policy of both switchless rings (ecall and ocall direction), used
   // when the app's relays are switchless.

@@ -49,7 +49,6 @@ const std::vector<CallPrefix>& registered_call_prefixes() {
       {"ecall_relay_", Category::kRmi},
       {"ocall_relay_", Category::kRmi},
       {"ecall_rmi_batch", Category::kRmi},
-      {"ocall_rmi_batch", Category::kRmi},
       {"ecall_", Category::kBridge},  // ecall_main, ecall_invoke, ...
       {"ocall_", Category::kBridge},  // shim I/O relays
   };

@@ -8,6 +8,7 @@
 
 #include "apps/synthetic/generator.h"
 #include "core/montsalvat.h"
+#include "dsl/parser.h"
 #include "rmi/batch.h"
 #include "rmi/hasher.h"
 #include "rmi/registry.h"
@@ -660,130 +661,165 @@ TEST(BatchCodec, FuzzCorpusTruncationsAndMutationsAreTypedOrSound) {
   }
 }
 
-// ---- Batched & async RMI through the public pipeline ----------------------
+// ---- Batched RMI through the public pipeline (invoke_batch) ---------------
 
-TEST(ProxyRuntimeTest, AsyncBatchingPipelinesAndFlushesOnce) {
-  core::PartitionedApp app(apps::synthetic::build_micro_app());
-  auto& u = app.untrusted_context();
-  const Value w = u.construct("Worker", {});
-  auto& rmi = app.rmi();
-  rmi.set_batching(true);
-  const model::ClassDecl& cls = u.class_of(w.as_ref());
-  const model::MethodDecl* set = cls.find_method("set");
-  const model::MethodDecl* get = cls.find_method("get");
-  ASSERT_NE(set, nullptr);
-  ASSERT_NE(get, nullptr);
-  const RmiStats before = rmi.stats();
-  const std::uint64_t ecalls_before = app.bridge().stats().ecalls;
-
-  std::vector<RmiFuture> futures;
-  for (int i = 0; i < 8; ++i) {
-    std::vector<Value> args{Value(std::int32_t{i})};
-    futures.push_back(rmi.invoke_proxy_async(u, w.as_ref(), cls, *set, args));
-  }
-  EXPECT_EQ(rmi.pending_batch_calls(), 8u);
-  for (const auto& f : futures) EXPECT_FALSE(f.ready());
-
-  // get() on the tail future forces the flush; strict program order means
-  // every set executed before the read.
-  std::vector<Value> no_args;
-  RmiFuture tail = rmi.invoke_proxy_async(u, w.as_ref(), cls, *get, no_args);
-  EXPECT_EQ(tail.get().as_i32(), 7);
-  EXPECT_EQ(rmi.pending_batch_calls(), 0u);
-  for (const auto& f : futures) EXPECT_TRUE(f.ready());
-
-  // Satellite accounting contract: 9 logical calls, ONE transition.
-  const RmiStats& s = rmi.stats();
-  EXPECT_EQ(s.remote_invocations - before.remote_invocations, 9u);
-  EXPECT_EQ(s.batched_calls - before.batched_calls, 9u);
-  EXPECT_EQ(s.batch_flushes - before.batch_flushes, 1u);
-  EXPECT_EQ(s.transitions - before.transitions, 1u);
-  EXPECT_EQ(app.bridge().stats().ecalls - ecalls_before, 1u);
+// A trusted Box whose ratio() faults on a zero divisor: an application
+// fault raised inside one batch entry.
+model::AppModel box_app() {
+  return dsl::parse_program(R"(
+    class Box @Trusted {
+      field v;
+      ctor() { this.v = 0; }
+      method set(x) { this.v = x; }
+      method ratio(d) { return 100 / d; }
+      method get() { return this.v; }
+    }
+    class Main @Untrusted {
+      static method main() { b = new Box(); b.set(1); b.ratio(1); b.get(); }
+    }
+  )");
 }
 
-TEST(ProxyRuntimeTest, AsyncBatchFlushesWhenTheTargetIsolateChanges) {
-  // With two trusted isolates a frame is routed to one of them: two calls
-  // to isolate 0 share a frame, and the call to isolate 1 starts another.
+// One batch entry: `method` on the untrusted proxy `proxy`.
+ProxyRuntime::BatchCall batch_call(interp::ExecContext& u, const Value& proxy,
+                                   const std::string& method,
+                                   std::vector<Value> args = {}) {
+  ProxyRuntime::BatchCall c;
+  c.proxy = proxy.as_ref();
+  c.stub = u.class_of(proxy.as_ref()).find_method(method);
+  c.args = std::move(args);
+  return c;
+}
+
+TEST(ProxyRuntimeTest, InvokeBatchFencesAStaleProxyBeforeAnyTransition) {
+  // Wherever the stale proxy sits in the batch, the whole batch throws
+  // before its transition: no ecall, no entry executed.
+  for (std::size_t stale_at = 0; stale_at < 3; ++stale_at) {
+    core::PartitionedApp app(apps::synthetic::build_micro_app());
+    auto& u = app.untrusted_context();
+    const Value stale = u.construct("Worker", {});
+    app.rmi().fence_proxies();
+    const Value fresh = u.construct("Worker", {});
+    std::vector<ProxyRuntime::BatchCall> calls;
+    for (std::size_t i = 0; i < 3; ++i) {
+      calls.push_back(batch_call(u, i == stale_at ? stale : fresh, "set",
+                                 {Value(static_cast<std::int32_t>(i + 5))}));
+    }
+    const std::uint64_t ecalls = app.bridge().stats().ecalls;
+    const RmiStats before = app.rmi().stats();
+    EXPECT_THROW(app.rmi().invoke_batch(calls), StaleProxyError);
+    EXPECT_EQ(app.bridge().stats().ecalls, ecalls);
+    EXPECT_EQ(app.rmi().stats().transitions, before.transitions);
+    EXPECT_EQ(app.rmi().stats().remote_invocations,
+              before.remote_invocations);
+    EXPECT_EQ(u.invoke(fresh.as_ref(), "get", {}).as_i32(), 0)
+        << "an entry ran although the batch was fenced";
+  }
+}
+
+TEST(ProxyRuntimeTest, InvokeBatchReturnsAnEntryFaultInBand) {
+  core::PartitionedApp app(box_app());
+  auto& u = app.untrusted_context();
+  const Value box = u.construct("Box", {});
+  const std::vector<ProxyRuntime::BatchCall> calls = {
+      batch_call(u, box, "set", {Value(std::int32_t{4})}),
+      batch_call(u, box, "ratio", {Value(std::int32_t{0})}),
+      batch_call(u, box, "get"),
+      batch_call(u, box, "ratio", {Value(std::int32_t{4})})};
+  const std::uint64_t ecalls = app.bridge().stats().ecalls;
+  const RmiStats before = app.rmi().stats();
+  const auto outcomes = app.rmi().invoke_batch(calls);
+
+  ASSERT_EQ(outcomes.size(), 4u);
+  EXPECT_TRUE(outcomes[0].ok);
+  EXPECT_FALSE(outcomes[1].ok);
+  EXPECT_NE(outcomes[1].error.find("integer division by zero"),
+            std::string::npos)
+      << outcomes[1].error;
+  // The entries after the fault still executed, in order.
+  ASSERT_TRUE(outcomes[2].ok);
+  EXPECT_EQ(outcomes[2].value.as_i32(), 4);
+  ASSERT_TRUE(outcomes[3].ok);
+  EXPECT_EQ(outcomes[3].value.as_i32(), 25);
+  // Four logical calls, one transition.
+  EXPECT_EQ(app.bridge().stats().ecalls - ecalls, 1u);
+  const RmiStats& s = app.rmi().stats();
+  EXPECT_EQ(s.transitions - before.transitions, 1u);
+  EXPECT_EQ(s.remote_invocations - before.remote_invocations, 4u);
+  EXPECT_EQ(s.batched_calls - before.batched_calls, 4u);
+  EXPECT_EQ(s.batch_flushes - before.batch_flushes, 1u);
+
+  // A batch of one is the unbatched call: its fault throws, as
+  // invoke_proxy's does, instead of coming back in-band.
+  EXPECT_THROW(app.rmi().invoke_batch(
+                   {batch_call(u, box, "ratio", {Value(std::int32_t{0})})}),
+               RuntimeFault);
+}
+
+TEST(ProxyRuntimeTest, InvokeBatchRejectsABatchSpanningTwoIsolates) {
   core::PartitionedApp app(apps::synthetic::build_micro_app(), 2);
   auto& u = app.untrusted_context();
   const Value w0 = app.construct_in(0, "Worker", {});
   const Value w1 = app.construct_in(1, "Worker", {});
-  auto& rmi = app.rmi();
-  rmi.set_batching(true);
-  const model::ClassDecl& cls = u.class_of(w0.as_ref());
-  const model::MethodDecl& set = *cls.find_method("set");
-  const RmiStats before = rmi.stats();
-
-  std::vector<RmiFuture> futures;
-  for (const auto& [w, v] : {std::pair{w0, 1}, {w0, 2}, {w1, 3}}) {
-    std::vector<Value> args{Value(std::int32_t{v})};
-    futures.push_back(rmi.invoke_proxy_async(u, w.as_ref(), cls, set, args));
-  }
-  EXPECT_TRUE(futures[0].ready() && futures[1].ready());
-  EXPECT_EQ(rmi.pending_batch_calls(), 1u);
-  rmi.flush_batches();
-  EXPECT_EQ(rmi.stats().batch_flushes - before.batch_flushes, 2u);
-  EXPECT_EQ(rmi.stats().batched_calls - before.batched_calls, 3u);
-  EXPECT_EQ(u.invoke(w0.as_ref(), "get", {}).as_i32(), 2);
-  EXPECT_EQ(u.invoke(w1.as_ref(), "get", {}).as_i32(), 3);
-}
-
-TEST(ProxyRuntimeTest, SyncCallAndNonPrimitiveArgsFlushPendingBatch) {
-  core::PartitionedApp app(apps::synthetic::build_micro_app());
-  auto& u = app.untrusted_context();
-  const Value w = u.construct("Worker", {});
-  auto& rmi = app.rmi();
-  rmi.set_batching(true);
-  const model::ClassDecl& cls = u.class_of(w.as_ref());
-  const model::MethodDecl* set = cls.find_method("set");
-
-  std::vector<Value> a1{Value(std::int32_t{3})};
-  std::vector<Value> a2{Value(std::int32_t{5})};
-  RmiFuture f1 = rmi.invoke_proxy_async(u, w.as_ref(), cls, *set, a1);
-  RmiFuture f2 = rmi.invoke_proxy_async(u, w.as_ref(), cls, *set, a2);
-  EXPECT_EQ(rmi.pending_batch_calls(), 2u);
-
-  // A synchronous call is a dependency fence: the batch flushes first, so
-  // the read observes both queued writes in order.
-  EXPECT_EQ(u.invoke(w.as_ref(), "get", {}).as_i32(), 5);
-  EXPECT_EQ(rmi.pending_batch_calls(), 0u);
-  EXPECT_TRUE(f1.ready());
-  EXPECT_TRUE(f2.ready());
-
-  // Non-primitive arguments cannot prove independence: the conservative
-  // rule runs them synchronously (already-resolved future, no pending).
-  std::vector<Value> largs{
-      Value(rt::ValueList{Value(std::int32_t{1}), Value("x")})};
-  RmiFuture lf = rmi.invoke_proxy_async(u, w.as_ref(), cls,
-                                        *cls.find_method("set_list"), largs);
-  EXPECT_TRUE(lf.ready());
-  EXPECT_EQ(rmi.pending_batch_calls(), 0u);
-  lf.get();
+  const std::uint64_t ecalls = app.bridge().stats().ecalls;
+  const RmiStats before = app.rmi().stats();
+  EXPECT_THROW(
+      app.rmi().invoke_batch({batch_call(u, w0, "set", {Value(std::int32_t{1})}),
+                              batch_call(u, w1, "set", {Value(std::int32_t{2})})}),
+      RuntimeFault);
+  EXPECT_EQ(app.bridge().stats().ecalls, ecalls);
+  EXPECT_EQ(app.rmi().stats().transitions, before.transitions);
+  EXPECT_EQ(u.invoke(w0.as_ref(), "get", {}).as_i32(), 0);
+  EXPECT_EQ(u.invoke(w1.as_ref(), "get", {}).as_i32(), 0);
 }
 
 TEST(ProxyRuntimeTest, BatchOfOneIsCycleIdenticalToSync) {
-  // The batch-size-1 honesty contract (also asserted by abl_rmi_batch):
-  // enqueue + immediate get replays the unbatched wire path exactly, so
-  // the simulated clock lands on the same instant.
-  std::array<Cycles, 2> cycles{};
-  for (const bool batched : {false, true}) {
-    core::PartitionedApp app(apps::synthetic::build_micro_app());
-    auto& u = app.untrusted_context();
-    const Value w = u.construct("Worker", {});
-    const model::ClassDecl& cls = u.class_of(w.as_ref());
-    const model::MethodDecl* set = cls.find_method("set");
-    if (batched) app.rmi().set_batching(true);
-    for (int i = 0; i < 5; ++i) {
-      std::vector<Value> args{Value(std::int32_t{i})};
-      if (batched) {
-        app.rmi().invoke_proxy_async(u, w.as_ref(), cls, *set, args).get();
-      } else {
-        app.rmi().invoke_proxy(u, w.as_ref(), cls, *set, args);
-      }
+  // The batch-size-1 honesty contract (also asserted by abl_rmi_batch): a
+  // batch of one takes invoke_proxy's single-call path, so the simulated
+  // clock, the bridge traffic and the RMI counters land on the same
+  // values — with one trusted isolate and with two, whose frames carry
+  // the route prefix.
+  for (const std::uint32_t isolates : {1u, 2u}) {
+    struct Outcome {
+      Cycles clock;
+      std::int32_t value;
+      sgx::BridgeStats bridge;
+      RmiStats rmi;
+    };
+    std::array<Outcome, 2> got{};
+    for (const bool batched : {false, true}) {
+      core::PartitionedApp app(apps::synthetic::build_micro_app(), isolates);
+      auto& u = app.untrusted_context();
+      const Value w = app.construct_in(isolates - 1, "Worker", {});
+      const model::ClassDecl& cls = u.class_of(w.as_ref());
+      const auto call = [&](const char* method, std::vector<Value> args) {
+        if (batched) {
+          return app.rmi()
+              .invoke_batch({batch_call(u, w, method, args)})
+              .front()
+              .value;
+        }
+        return app.rmi().invoke_proxy(u, w.as_ref(), cls,
+                                      *cls.find_method(method), args);
+      };
+      for (int i = 0; i < 5; ++i) call("set", {Value(std::int32_t{i})});
+      got[batched].value = call("get", {}).as_i32();
+      got[batched].clock = app.env().clock.now();
+      got[batched].bridge = app.bridge().stats();
+      got[batched].rmi = app.rmi().stats();
     }
-    cycles[batched] = app.env().clock.now();
+    SCOPED_TRACE(isolates);
+    EXPECT_EQ(got[0].value, 4);
+    EXPECT_EQ(got[1].value, 4);
+    EXPECT_EQ(got[0].clock, got[1].clock);
+    EXPECT_EQ(got[0].bridge.ecalls, got[1].bridge.ecalls);
+    EXPECT_EQ(got[0].bridge.bytes_in, got[1].bridge.bytes_in);
+    EXPECT_EQ(got[0].bridge.bytes_out, got[1].bridge.bytes_out);
+    EXPECT_EQ(got[0].rmi.transitions, got[1].rmi.transitions);
+    EXPECT_EQ(got[0].rmi.remote_invocations, got[1].rmi.remote_invocations);
+    EXPECT_EQ(got[0].rmi.fast_path_calls, got[1].rmi.fast_path_calls);
+    EXPECT_EQ(got[1].rmi.batch_flushes, 0u) << "a batch of one sent a frame";
   }
-  EXPECT_EQ(cycles[0], cycles[1]);
 }
 
 }  // namespace

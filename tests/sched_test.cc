@@ -147,65 +147,6 @@ TEST_F(SchedulerTest, WakeCutsSleepShort) {
   EXPECT_EQ(env.clock.now(), 10u) << "the long sleep never ran to deadline";
 }
 
-// ---- Pre-suspension hook (the batching RMI layer's flush point) -----------
-
-TEST_F(SchedulerTest, SuspendHookFiresBeforeYieldAndSleep) {
-  sched::Scheduler sched(env);
-  std::vector<std::string> events;
-  sched.set_suspend_hook([&] { events.push_back("hook"); });
-  sched.spawn("a", [&] {
-    events.push_back("pre-yield");
-    sched.yield();
-    events.push_back("pre-sleep");
-    sched.sleep_for(100);
-    events.push_back("done");
-  });
-  sched.run();
-  EXPECT_EQ(events, (std::vector<std::string>{"pre-yield", "hook",
-                                              "pre-sleep", "hook", "done"}));
-}
-
-TEST_F(SchedulerTest, SuspendHookFiresOnSuspendAndJoin) {
-  sched::Scheduler sched(env);
-  int fires = 0;
-  sched.set_suspend_hook([&] { ++fires; });
-  const sched::TaskId worker = sched.spawn("w", [&] { sched.suspend(); });
-  sched.spawn("waker", [&] {
-    sched.wake(worker);
-    sched.join(worker);  // parks through suspend() -> hook
-  });
-  sched.run();
-  EXPECT_EQ(fires, 2);
-}
-
-TEST_F(SchedulerTest, SuspendHookIsReentrancyGuarded) {
-  sched::Scheduler sched(env);
-  int fires = 0;
-  sched.set_suspend_hook([&] {
-    ++fires;
-    // A hook that itself suspends (the batch flush's bridge transition
-    // sleeps through charge_transition) must not re-fire.
-    sched.sleep_for(10);
-  });
-  sched.spawn("a", [&] { sched.yield(); });
-  sched.run();
-  EXPECT_EQ(fires, 1);
-}
-
-TEST_F(SchedulerTest, SuspendHookNeverFiresOutsideTasks) {
-  sched::Scheduler sched(env);
-  int fires = 0;
-  sched.set_suspend_hook([&] { ++fires; });
-  sched.spawn("a", [&] { sched.yield(); });
-  sched.run();
-  // Only the in-task yield fired it; clearing stops further firings.
-  EXPECT_EQ(fires, 1);
-  sched.set_suspend_hook(nullptr);
-  sched.spawn("b", [&] { sched.yield(); });
-  sched.run();
-  EXPECT_EQ(fires, 1);
-}
-
 TEST_F(SchedulerTest, DeadlockIsReportedNotHung) {
   sched::Scheduler sched(env);
   sched.spawn("stuck", [&] { sched.suspend(); });

@@ -261,18 +261,18 @@ TEST(ServingPins, BridgeCallIdsArePinned) {
     sched::Scheduler sched(app.env());
     server::RequestServer srv(sched, app, server::ServerConfig{});
     srv.start();
-    EXPECT_EQ(app.bridge().call_names().size(), 30u);
+    EXPECT_EQ(app.bridge().call_names().size(), 29u);
     EXPECT_EQ(call_id_digest(app.bridge()),
-              "11b2ccbb7123eeaa604751d3b8397ee2"
-              "22e6c9fa5e196c668da463f242680daa");
+              "fe96a5cd973e528b3a3c98d4a7173624"
+              "6e3dc8a32cde16c1ca7d178187a5b61c");
   }
   {
     core::PartitionedApp app(apps::synthetic::build_micro_app());
     app.untrusted_context().construct("Driver", {});
-    EXPECT_EQ(app.bridge().call_names().size(), 33u);
+    EXPECT_EQ(app.bridge().call_names().size(), 32u);
     EXPECT_EQ(call_id_digest(app.bridge()),
-              "1c199101d3944dca264752191c4b76cb"
-              "98879622476bda39427dffd006bcff5a");
+              "9c58c5115dd319ea1d650f1de115e909"
+              "b0c1f4613afb2b70f878b1830404290d");
   }
   {
     core::UnpartitionedApp app(apps::paldb::build_paldb_app(
