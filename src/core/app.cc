@@ -121,16 +121,19 @@ void PartitionedApp::build(const model::AppModel& app,
   xform::BytecodeTransformer transformer;
   xform::TransformResult transformed = transformer.transform(*input);
 
-  // 2. Native image generation with reachability pruning (§5.3).
+  // 2. Native image generation with reachability pruning (§5.3). The
+  // transformed sets are not needed afterwards: the images take what they
+  // keep from them.
   xform::ImageBuilder builder(config_.image);
-  trusted_image_ = builder.build(
-      transformed.trusted, /*is_trusted=*/true,
-      image_entry_points(transformed.trusted, true,
-                         config_.extra_entry_points));
-  untrusted_image_ = builder.build(
-      transformed.untrusted, /*is_trusted=*/false,
-      image_entry_points(transformed.untrusted, false,
-                         config_.extra_entry_points));
+  std::vector<xform::MethodRef> trusted_roots = image_entry_points(
+      transformed.trusted, true, config_.extra_entry_points);
+  trusted_image_ = builder.build(std::move(transformed.trusted),
+                                 /*is_trusted=*/true, std::move(trusted_roots));
+  std::vector<xform::MethodRef> untrusted_roots = image_entry_points(
+      transformed.untrusted, false, config_.extra_entry_points);
+  untrusted_image_ =
+      builder.build(std::move(transformed.untrusted), /*is_trusted=*/false,
+                    std::move(untrusted_roots));
 
   // 3. EDL + Edger8r bridge generation (§5.3, §5.4): the relay
   // transitions, then the shim's libc relays and the GC-helper calls,
@@ -153,6 +156,12 @@ void PartitionedApp::build(const model::AppModel& app,
       config_.enclave_heap_max_bytes, config_.enclave_stack_bytes,
       config_.tcs);
   enclave_->init(measurement_);
+  // The launch pages in each trusted isolate's image heap and its heap's
+  // first page: the EPC frame store is sized for them once.
+  const std::uint64_t image_heap_pages =
+      (trusted_image_.image_heap_bytes + env_.cost.page_bytes - 1) /
+      env_.cost.page_bytes;
+  enclave_->epc().reserve_frames(trusted_isolates * (image_heap_pages + 1));
 
   // 5. Runtimes: one isolate per image (§2.2), the trusted ones backed by
   // EPC memory. All trusted isolates share the enclave (and hence the

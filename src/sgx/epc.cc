@@ -19,7 +19,7 @@ EpcModel::Chunk& EpcModel::chunk_for(Key key) {
   if (chunk_key != last_chunk_key_) {
     std::unique_ptr<Chunk>& chunk = chunks_[chunk_key];
     if (chunk == nullptr) {
-      chunk = std::make_unique<Chunk>();
+      chunk = std::make_unique_for_overwrite<Chunk>();
       chunk->fill(kNoFrame);
     }
     last_chunk_key_ = chunk_key;
@@ -50,6 +50,46 @@ void EpcModel::free_frame(std::uint32_t f) {
   frames_[f].next = free_;
   free_ = f;
   --resident_;
+}
+
+void EpcModel::page_in_absent(Key key, std::uint32_t* slots,
+                              std::uint64_t n) {
+  // Page i goes in front of page i - 1, and the first page in front of
+  // the old MRU page: the order n link_fronts leave.
+  std::uint32_t below = mru_frame_;
+  const auto link = [&](std::uint32_t f, std::uint64_t i) {
+    Frame& frame = frames_[f];
+    frame.key = key + i;
+    frame.slot = slots + i;
+    frame.prev = kNoFrame;
+    frame.next = below;
+    (below == kNoFrame ? lru_frame_ : frames_[below].prev) = f;
+    slots[i] = f;
+    below = f;
+  };
+  std::uint64_t i = 0;
+  for (; i < n && free_ != kNoFrame; ++i) {
+    const std::uint32_t f = free_;
+    free_ = frames_[f].next;
+    link(f, i);
+  }
+  if (i < n) {
+    // The free list is empty, so the vector holds exactly the resident
+    // pages and the EPC has room for the rest: appending keeps it within
+    // capacity_pages_ frames. It doubles when full.
+    const std::uint64_t size = frames_.size() + (n - i);
+    if (size > frames_.capacity()) {
+      frames_.reserve(std::min<std::uint64_t>(
+          capacity_pages_,
+          std::max<std::uint64_t>(size, 2 * frames_.capacity())));
+    }
+    auto f = static_cast<std::uint32_t>(frames_.size());
+    frames_.resize(size);
+    for (; i < n; ++i) link(f++, i);
+  }
+  mru_frame_ = below;
+  resident_ += n;
+  stats_.faults += n;
 }
 
 std::uint64_t EpcModel::drain_to_capacity(std::uint64_t headroom,
@@ -95,13 +135,6 @@ void EpcModel::access(std::uint64_t region, std::uint64_t first,
   // capacity - n + i pages are resident, so neither the pre-access drain
   // nor the drain that makes room for a page-in finds an excess.
   const bool fits = resident_ + n <= effective_capacity_pages();
-  const std::uint64_t frames_needed =
-      std::min<std::uint64_t>(capacity_pages_, frames_.size() + n);
-  if (frames_needed > frames_.capacity()) {
-    frames_.reserve(std::min<std::uint64_t>(
-        capacity_pages_, std::max<std::uint64_t>(frames_needed,
-                                                 2 * frames_.capacity())));
-  }
   std::uint64_t page_ins = 0;
   std::uint64_t page_outs = 0;
   constexpr Key kSlotMask = (Key{1} << kChunkShift) - 1;
@@ -109,45 +142,45 @@ void EpcModel::access(std::uint64_t region, std::uint64_t first,
   // (2^24 - 1, 2^40 - 1), past which a key would wrap.
   Key key = (region << 40) | first;
   for (std::uint64_t left = n; left > 0;) {
-    Chunk& chunk = chunk_for(key);
-    std::uint64_t in_chunk =
+    std::uint32_t* const slots = &chunk_for(key)[key & kSlotMask];
+    const std::uint64_t in_chunk =
         std::min(left, kSlotMask + 1 - (key & kSlotMask));
     left -= in_chunk;
-    for (; in_chunk > 0; --in_chunk, ++key) {
+    for (std::uint64_t i = 0; i < in_chunk;) {
       if (!fits) page_outs += drain_to_capacity(0, traced);
-      std::uint32_t& slot = chunk[key & kSlotMask];
+      const std::uint32_t slot = slots[i];
       if (slot != kNoFrame) {
         if (slot != mru_frame_) {
           unlink(slot);
           link_front(slot);
         }
+        ++i;
         continue;
       }
-      // Miss: the driver pages the frame in, evicting the LRU page if
-      // full (at most one eviction here — the pre-access drain already
-      // clamped the set to capacity).
-      ++stats_.faults;
-      ++page_ins;
-      if (traced) {
-        telemetry::SpanScope span(env_.telemetry.tracer(),
-                                  telemetry::Category::kEpc,
-                                  env_.telemetry.names().epc_page_in);
-        env_.clock.advance(env_.cost.epc_page_in_cycles);
-      }
-      if (!fits) page_outs += drain_to_capacity(1, traced);
-      std::uint32_t f = free_;
-      if (f != kNoFrame) {
-        free_ = frames_[f].next;
+      // Miss. A run that fits, untraced, has nothing to drain and no
+      // span to open, so the whole stretch of absent pages from here is
+      // paged in at once. Otherwise one page is: the driver pages the
+      // frame in, evicting the LRU page if full (at most one eviction
+      // here — the pre-access drain already clamped the set to capacity).
+      std::uint64_t absent = 1;
+      if (fits && !traced) {
+        while (i + absent < in_chunk && slots[i + absent] == kNoFrame) {
+          ++absent;
+        }
       } else {
-        f = static_cast<std::uint32_t>(frames_.size());
-        frames_.emplace_back();
+        if (traced) {
+          telemetry::SpanScope span(env_.telemetry.tracer(),
+                                    telemetry::Category::kEpc,
+                                    env_.telemetry.names().epc_page_in);
+          env_.clock.advance(env_.cost.epc_page_in_cycles);
+        }
+        if (!fits) page_outs += drain_to_capacity(1, traced);
       }
-      frames_[f].key = key;
-      frames_[f].slot = &slot;
-      link_front(f);
-      slot = f;
-      ++resident_;
+      page_in_absent(key + i, slots + i, absent);
+      page_ins += absent;
+      i += absent;
     }
+    key += in_chunk;
   }
   // Charges are additive (VirtualClock::advance is a plain add), so one
   // charge for the run equals the per-page charges it stands for.
@@ -155,6 +188,10 @@ void EpcModel::access(std::uint64_t region, std::uint64_t first,
     env_.clock.advance(page_ins * env_.cost.epc_page_in_cycles +
                        page_outs * env_.cost.epc_page_out_cycles);
   }
+}
+
+void EpcModel::reserve_frames(std::uint64_t frames) {
+  frames_.reserve(std::min(capacity_pages_, frames));
 }
 
 void EpcModel::invalidate_all() {

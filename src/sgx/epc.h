@@ -39,13 +39,20 @@ class EpcModel {
 
   // Notes accesses to pages [first, first + n) of `region`, in order. The
   // simulated outcome is that of n single-page accesses — the same LRU
-  // order, counters and cycles — but the run range-checks its keys once,
-  // looks up one page-table chunk per 512 pages and grows the frame
-  // vector at most once. A run that fits (resident + n within the
-  // effective capacity) evicts nothing, so it skips the per-page drain.
-  // Untraced, the run's page-ins and page-outs are one clock charge;
-  // with the EPC category traced each keeps its own span and charge.
+  // order, counters and cycles — but the run range-checks its keys once
+  // and looks up one page-table chunk per 512 pages. A run that fits
+  // (resident + n within the effective capacity) evicts nothing, so it
+  // skips the per-page drain, and, untraced, links each stretch of
+  // absent pages in one pass. Untraced, the run's page-ins and page-outs
+  // are one clock charge; with the EPC category traced each keeps its
+  // own span and charge.
   void access(std::uint64_t region, std::uint64_t first, std::uint64_t n);
+
+  // Sizes the frame store for `frames` frames in all (at most
+  // capacity_pages()). A launch calls it once, before it pages in its
+  // image heaps, with what it will page in, so the launch never regrows
+  // the store. Past that, the store doubles when it is full.
+  void reserve_frames(std::uint64_t frames);
 
   // Drops all pages of `region` (e.g. a GC semispace that was released);
   // no cost — the driver just reclaims the EPC pages.
@@ -80,6 +87,10 @@ class EpcModel {
     return share < limit_pages_ ? share : limit_pages_;
   }
   std::uint64_t resident_pages() const { return resident_; }
+  // Frames handed out, resident or free. Free frames are reused before a
+  // new one is taken, so this is the peak resident set since
+  // construction or invalidate_all, never more than capacity_pages().
+  std::uint64_t frame_count() const { return frames_.size(); }
   const EpcStats& stats() const { return stats_; }
 
   // Page-count conservation: every fault brought one page in, and every
@@ -119,6 +130,12 @@ class EpcModel {
   void link_front(std::uint32_t f);
   // Unlinks frame `f`, clears its slot and puts it on the free list.
   void free_frame(std::uint32_t f);
+  // Pages in the `n` absent pages from `key` on, whose page-table slots
+  // are slots[0, n), in one pass: the frames, LRU order and counters of
+  // n single page-ins. Frames come from the free list first, then from
+  // the end of the vector. The caller has made room for the pages in the
+  // EPC and charges the clock.
+  void page_in_absent(Key key, std::uint32_t* slots, std::uint64_t n);
 
   // Evicts LRU pages until the resident set fits the effective capacity
   // (strictly, or leaving `headroom` free frames) and returns how many
@@ -132,7 +149,7 @@ class EpcModel {
   std::uint64_t limit_pages_;
   // The frames handed out since construction or invalidate_all. Free ones
   // are recycled before the vector grows, so it never holds more than
-  // capacity_pages_ frames.
+  // capacity_pages_ frames. A launch sizes it once (reserve_frames).
   std::vector<Frame> frames_;
   std::uint32_t mru_frame_ = kNoFrame;
   std::uint32_t lru_frame_ = kNoFrame;

@@ -1,5 +1,8 @@
 #include "transform/image_builder.h"
 
+#include <type_traits>
+#include <utility>
+
 #include "support/error.h"
 
 namespace msv::xform {
@@ -44,8 +47,25 @@ ByteBuffer NativeImage::serialize() const {
   return buf;
 }
 
-NativeImage ImageBuilder::build(const model::AppModel& input, bool is_trusted,
-                                std::vector<MethodRef> entry_override) const {
+namespace {
+
+// Moves from a mutable input, copies from a const one.
+template <class T>
+decltype(auto) take(T& x) {
+  if constexpr (std::is_const_v<T>) {
+    return x;
+  } else {
+    return std::move(x);
+  }
+}
+
+// The one pruning loop of both ImageBuilder::build overloads: `Model` is
+// `const model::AppModel` to copy what is kept, `model::AppModel` to move
+// it.
+template <class Model>
+NativeImage build_image(const ImageBuildConfig& config, Model& input,
+                        bool is_trusted,
+                        std::vector<MethodRef> entry_override) {
   NativeImage image;
   image.name = is_trusted ? "trusted" : "untrusted";
   image.object_file = image.name + ".o";
@@ -62,33 +82,46 @@ NativeImage ImageBuilder::build(const model::AppModel& input, bool is_trusted,
 
   // Prune: only reachable classes, and within them only reachable methods,
   // survive into the image (§2.2: AoT compiles only reachable elements).
-  const auto& classes = input.classes();
+  // The marks are by position, so taking from `input` cannot disturb them.
+  auto& classes = input.classes();
   for (std::size_t c = 0; c < classes.size(); ++c) {
-    const ClassDecl& cls = classes[c];
+    auto& cls = classes[c];
     if (!reachable.class_reachable(c)) {
       if (cls.is_proxy()) ++image.pruned_proxy_count;
       continue;
     }
     ClassDecl& kept = image.classes.add_class(cls.name(), cls.annotation());
     if (cls.is_proxy()) kept.mark_proxy();
-    for (const auto& f : cls.fields()) kept.add_field(f.name, f.is_private);
+    kept.fields() = take(cls.fields());
     for (std::size_t m = 0; m < cls.methods().size(); ++m) {
       // Proxy classes are pruned at class granularity only: a reachable
       // proxy "exposes the same methods as the original class" (§5.2) so
       // any of its stubs may be invoked through a received reference.
       if (!cls.is_proxy() && !reachable.method_reachable(c, m)) continue;
-      kept.methods().push_back(cls.methods()[m]);
       image.code_bytes += cls.methods()[m].code_bytes();
+      kept.methods().push_back(take(cls.methods()[m]));
     }
   }
   image.classes.set_main_class(input.main_class());
 
-  image.runtime_code_bytes = config_.runtime_code_bytes;
+  image.runtime_code_bytes = config.runtime_code_bytes;
   image.image_heap_bytes =
-      config_.image_heap_base_bytes +
-      config_.image_heap_per_class_bytes * image.classes.classes().size();
-  image.max_heap_bytes = config_.max_heap_bytes;
+      config.image_heap_base_bytes +
+      config.image_heap_per_class_bytes * image.classes.classes().size();
+  image.max_heap_bytes = config.max_heap_bytes;
   return image;
+}
+
+}  // namespace
+
+NativeImage ImageBuilder::build(const model::AppModel& input, bool is_trusted,
+                                std::vector<MethodRef> entry_override) const {
+  return build_image(config_, input, is_trusted, std::move(entry_override));
+}
+
+NativeImage ImageBuilder::build(model::AppModel&& input, bool is_trusted,
+                                std::vector<MethodRef> entry_override) const {
+  return build_image(config_, input, is_trusted, std::move(entry_override));
 }
 
 }  // namespace msv::xform

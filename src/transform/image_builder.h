@@ -60,11 +60,16 @@ class ImageBuilder {
  public:
   explicit ImageBuilder(ImageBuildConfig config = {}) : config_(config) {}
 
-  // Builds the trusted or untrusted image from its transformed class set.
+  // Builds the trusted or untrusted image from its transformed class set,
+  // copying the classes, fields and methods it keeps.
   // `entry_override`, when non-empty, replaces the §5.3 entry-point rule —
   // used for unpartitioned builds (§5.6), where the whole application goes
   // into one image rooted at main.
   NativeImage build(const model::AppModel& input, bool is_trusted,
+                    std::vector<MethodRef> entry_override = {}) const;
+  // The same image, moving the fields and methods it keeps out of `input`
+  // instead of copying them; `input` is left valid but unspecified.
+  NativeImage build(model::AppModel&& input, bool is_trusted,
                     std::vector<MethodRef> entry_override = {}) const;
 
  private:

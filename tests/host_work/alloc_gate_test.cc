@@ -106,19 +106,21 @@ Counted count_allocations(Fn&& launch) {
 }
 
 // Ceilings: the counts at which the launches were recorded plus a small
-// margin (serve 909 calls / 420,946 bytes; rmi 573 / 144,047; kv 107 /
-// 27,367; gc 92 / 24,329). With the untrusted batch endpoint still
-// registered, the serve and rmi launches made 911 / 421,506 and
-// 575 / 144,607. Before each enclave interface had one process-wide
+// margin (serve 857 calls / 276,750 bytes; rmi 512 / 128,904; kv 107 /
+// 27,367; gc 92 / 24,329). Before the EPC frame store was sized once per
+// launch and the images moved what they keep out of the transformed sets,
+// the serve and rmi launches made 909 / 420,946 and 573 / 144,047. With
+// the untrusted batch endpoint still registered, they made 911 / 421,506
+// and 575 / 144,607. Before each enclave interface had one process-wide
 // definition, span names were interned only when traced and the mirror
 // registries grew on demand, the same launches made 1,073 / 673,525,
 // 739 / 229,203, 202 / 53,889 and 187 / 50,947; before the EPC page
 // runs, page-sized first heap chunks and shared image tables the serve
 // and rmi launches made 1,462 / 3,358,158 and 917 / 374,926.
-constexpr std::uint64_t kServeCallCeiling = 933;
-constexpr std::uint64_t kServeByteCeiling = 431'440;
-constexpr std::uint64_t kRmiCallCeiling = 588;
-constexpr std::uint64_t kRmiByteCeiling = 147'940;
+constexpr std::uint64_t kServeCallCeiling = 879;
+constexpr std::uint64_t kServeByteCeiling = 283'670;
+constexpr std::uint64_t kRmiCallCeiling = 525;
+constexpr std::uint64_t kRmiByteCeiling = 132'130;
 constexpr std::uint64_t kKvCallCeiling = 110;
 constexpr std::uint64_t kKvByteCeiling = 28'100;
 constexpr std::uint64_t kGcCallCeiling = 95;

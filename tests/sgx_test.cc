@@ -187,6 +187,7 @@ class ReferenceEpc {
     drain(1);
     lru_.push_front(key);
     index_[key] = lru_.begin();
+    peak_ = std::max<std::uint64_t>(peak_, lru_.size());
   }
   void release_region(std::uint64_t region) {
     for (auto it = lru_.begin(); it != lru_.end();) {
@@ -203,6 +204,7 @@ class ReferenceEpc {
     stats_.invalidated += lru_.size();
     index_.clear();
     lru_.clear();
+    peak_ = 0;
   }
   void set_reserved_pages(std::uint64_t n) { reserved_ = n; }
   void set_limit(std::uint64_t pages) {
@@ -211,6 +213,11 @@ class ReferenceEpc {
 
   std::uint64_t capacity() const { return capacity_; }
   std::uint64_t resident() const { return lru_.size(); }
+  bool holds(std::uint64_t region, std::uint64_t page) const {
+    return index_.count((region << 40) | page) != 0;
+  }
+  // The largest resident set since construction or invalidate_all.
+  std::uint64_t peak() const { return peak_; }
   Cycles clock() const { return clock_; }
   const EpcStats& stats() const { return stats_; }
 
@@ -232,6 +239,7 @@ class ReferenceEpc {
   std::uint64_t limit_;
   std::list<std::uint64_t> lru_;
   std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator> index_;
+  std::uint64_t peak_ = 0;
   EpcStats stats_;
   Cycles clock_ = 0;
 };
@@ -245,15 +253,20 @@ TEST(Epc, MatchesReferenceLruOnRandomSequences) {
   // cold, on resident pages or across a 512-page chunk, some under
   // set_limit / set_reserved_pages pressure and some inside
   // measure_detached, whose cycles the reference charges to its clock.
-  // After every operation the clock, all five counters, the resident
-  // count and the conservation check must equal the reference's; an
-  // LRU-order slip shows up as a fault or eviction count that drifts.
+  // Fresh runs cover only absent pages and fit, so they are linked in one
+  // pass; each follows a release of its region or a set_limit drain, so
+  // most start while the free list holds frames. After every operation
+  // the clock, all five counters, the resident count, the frame count
+  // (the reference's peak resident set: free frames are taken first) and
+  // the conservation check must equal the reference's; an LRU-order slip
+  // shows up as a fault or eviction count that drifts.
   constexpr std::uint64_t kExtremeRegion = (1ull << 24) - 1;
   constexpr std::uint64_t kExtremePage = (1ull << 40) - 1;
   constexpr int kTrials = 60;
   constexpr int kOpsPerTrial = 2000;
   Rng rng(2024);
   std::uint64_t ops = 0, runs = 0, run_pages = 0;
+  std::uint64_t fresh_runs = 0, fresh_runs_on_free_frames = 0;
   for (int trial = 0; trial < kTrials; ++trial) {
     Env env;
     const std::uint64_t capacity = trial % 2 == 0
@@ -316,14 +329,56 @@ TEST(Epc, MatchesReferenceLruOnRandomSequences) {
       ++runs;
       run_pages += n;
     };
+    const auto fresh_run = [&](std::uint64_t region) {
+      if (rng.next_below(2) == 0) {
+        epc.release_region(region);
+        ref.release_region(region);
+      } else if (epc.resident_pages() > 1) {
+        // Shrink below the resident set, drain it with one access, and
+        // lift the limit again.
+        const std::uint64_t limit = epc.limit_pages();
+        const std::uint64_t shrunk =
+            1 + rng.next_below(epc.resident_pages() - 1);
+        epc.set_limit(shrunk);
+        ref.set_limit(shrunk);
+        const std::uint64_t page = pick_page(region);
+        epc.access(region, page);
+        ref.access(region, page);
+        epc.set_limit(limit);
+        ref.set_limit(limit);
+      }
+      const std::uint64_t cap = epc.effective_capacity_pages();
+      if (epc.resident_pages() >= cap) return;
+      const std::uint64_t first = pick_page(region);
+      const std::uint64_t max_n =
+          1 + rng.next_below(
+                  std::min<std::uint64_t>(cap - epc.resident_pages(), 1100));
+      std::uint64_t n = 0;
+      while (n < max_n && first + n <= kExtremePage &&
+             !ref.holds(region, first + n)) {
+        ++n;
+      }
+      if (n == 0) return;
+      ++fresh_runs;
+      if (epc.frame_count() > epc.resident_pages()) {
+        ++fresh_runs_on_free_frames;
+      }
+      domain.touch_pages(region, first, n);
+      for (std::uint64_t p = first; p < first + n; ++p) ref.access(region, p);
+      last_region = region;
+      last_first = first;
+      last_n = n;
+    };
 
     for (int i = 0; i < kOpsPerTrial; ++i, ++ops) {
       const std::uint64_t roll = rng.next_below(1000);
       const std::uint64_t region = regions[rng.next_below(n_regions)];
-      if (roll < 900) {
+      if (roll < 880) {
         const std::uint64_t page = pick_page(region);
         epc.access(region, page);
         ref.access(region, page);
+      } else if (roll < 900) {
+        fresh_run(region);
       } else if (roll < 940) {
         run(region);
       } else if (roll < 960) {
@@ -350,12 +405,16 @@ TEST(Epc, MatchesReferenceLruOnRandomSequences) {
       ASSERT_EQ(epc.stats().released, ref.stats().released);
       ASSERT_EQ(epc.stats().invalidated, ref.stats().invalidated);
       ASSERT_EQ(epc.resident_pages(), ref.resident());
+      ASSERT_EQ(epc.frame_count(), ref.peak())
+          << "trial " << trial << " op " << i;
       ASSERT_TRUE(epc.stats_reconcile());
     }
   }
   EXPECT_GE(ops, 100'000u);
   EXPECT_GE(runs, 4'000u);
   EXPECT_GE(run_pages, 1'000'000u);
+  EXPECT_GE(fresh_runs, 1'500u);
+  EXPECT_GE(fresh_runs_on_free_frames, 1'500u);
 }
 
 TEST(Epc, TracedRunsKeepOneSpanPerPageInAndPageOut) {

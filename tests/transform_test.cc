@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "apps/illustrative/bank.h"
+#include "apps/paldb/model.h"
+#include "apps/synthetic/generator.h"
 #include "core/app.h"
 #include "transform/image_builder.h"
 #include "transform/reachability.h"
@@ -257,6 +259,36 @@ TEST(ImageBuilder, ProxyClassesPrunedAtClassGranularityOnly) {
   // proxies expose the same methods as the original class (§5.2).
   const auto& proxy = untrusted.classes.cls("Account");
   EXPECT_NE(proxy.find_method("getBalance"), nullptr);
+}
+
+TEST(ImageBuilder, MoveBuildEqualsCopyBuild) {
+  // PartitionedApp moves its transformed sets into the images; every
+  // other caller builds from a set it keeps. Both give the same image.
+  namespace paldb = apps::paldb;
+  const std::pair<const char*, model::AppModel> inputs[] = {
+      {"bank", apps::build_bank_app()},
+      {"micro", apps::synthetic::build_micro_app()},
+      {"paldb", paldb::build_paldb_app(
+                    paldb::Scheme::kReaderTrustedWriterUntrusted,
+                    paldb::PaldbWorkload{})},
+  };
+  for (const auto& [name, app] : inputs) {
+    const TransformResult r = BytecodeTransformer().transform(app);
+    for (const bool trusted : {true, false}) {
+      SCOPED_TRACE(std::string(name) + (trusted ? " trusted" : " untrusted"));
+      const model::AppModel& set = trusted ? r.trusted : r.untrusted;
+      const NativeImage copied = ImageBuilder().build(set, trusted);
+      model::AppModel taken = set;
+      const NativeImage moved = ImageBuilder().build(std::move(taken), trusted);
+      ASSERT_GT(copied.class_count(), 0u);
+      EXPECT_EQ(moved.serialize().bytes(), copied.serialize().bytes());
+      EXPECT_EQ(moved.entry_points, copied.entry_points);
+      EXPECT_EQ(moved.class_count(), copied.class_count());
+      EXPECT_EQ(moved.method_count(), copied.method_count());
+      EXPECT_EQ(moved.code_bytes, copied.code_bytes);
+      EXPECT_EQ(moved.pruned_proxy_count, copied.pruned_proxy_count);
+    }
+  }
 }
 
 }  // namespace
