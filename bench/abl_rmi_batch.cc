@@ -129,7 +129,7 @@ int main(int argc, char** argv) {
   const std::int64_t n = opt.smoke ? 2'048 : 65'536;
 
   bench::print_header("Ablation: batched RMI",
-                      "N calls per transition: futures + call coalescing "
+                      "N calls per transition: ProxyRuntime::invoke_batch "
                       "(simulated cycles)");
 
   const RunResult sync = run_sync(n);
@@ -191,8 +191,8 @@ int main(int argc, char** argv) {
   table.print();
   std::printf(
       "\nBatch width 1 is asserted cycle-identical to the synchronous loop "
-      "(the async\nmachinery adds nothing until it can amortize); wider "
-      "batches pay the transition\nand isolate attach once per flush.\n");
+      "(a batch of one\ntakes the unbatched wire path); wider batches pay "
+      "the transition and isolate\nattach once per invoke_batch frame.\n");
   if (!opt.json_path.empty()) {
     report.add_table("rmi_batch", table);
     if (!report.write(opt.json_path)) return 1;

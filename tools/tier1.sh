@@ -16,6 +16,12 @@ cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j
 
+# Host allocations of one serve, rmi, kv and gc launch: ctest above gates
+# them against their ceilings; this run writes the counts as test
+# properties to host_work.xml, which CI publishes.
+"$BUILD_DIR"/tests/msv_host_work_tests \
+  --gtest_output=xml:"$BUILD_DIR"/host_work.xml > /dev/null
+
 "$BUILD_DIR"/bench/abl_rmi_fastpath --smoke > /dev/null
 "$BUILD_DIR"/bench/abl_switchless --smoke > /dev/null
 # EPC paging cliff: exits 1 unless each of its ten sweeps lands on its
