@@ -7,7 +7,7 @@
 // the cliff. Every scenario runs a *disarmed* baseline (the same harness
 // with the adversarial knob off) next to the *armed* run, so the emitted
 // metrics always carry their own reference point and tools/bench_diff.py
-// can band both sides.
+// gates both sides.
 //
 // Everything here is deterministic: fixed-seed xorshift, precomputed
 // Zipf CDFs, no host time, no host randomness. Two runs of any stress

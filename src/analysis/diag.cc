@@ -1,7 +1,6 @@
 #include "analysis/diag.h"
 
 #include <algorithm>
-#include <iterator>
 #include <sstream>
 
 namespace msv::analysis {
@@ -139,9 +138,9 @@ std::string json_escape(const std::string& s) {
 
 std::string Report::to_json(const std::vector<std::string>& rules_run,
                             const AnalysisStats& stats,
-                            const std::string& target, int version) const {
+                            const std::string& target) const {
   std::ostringstream out;
-  out << "{\n  \"schema\": \"msvlint-report-v" << version << "\",\n";
+  out << "{\n  \"schema\": \"msvlint-report-v2\",\n";
   if (!target.empty()) {
     out << "  \"target\": \"" << json_escape(target) << "\",\n";
   }
@@ -150,27 +149,15 @@ std::string Report::to_json(const std::vector<std::string>& rules_run,
     out << (i ? ", " : "") << "\"" << rules_run[i] << "\"";
   }
   out << "],\n";
-  // Per-rule wall time. v1 only listed rules that produced a finding and
-  // dropped the object when none did; v2 emits every timed rule so a cheap
-  // rule and a skipped rule are distinguishable.
-  std::map<std::string, double> timings = stats.rule_wall_ms;
-  if (version < 2) {
-    std::set<std::string> with_findings;
-    for (const auto& d : diags_) with_findings.insert(d.rule);
-    for (auto it = timings.begin(); it != timings.end();) {
-      it = with_findings.count(it->first) != 0 ? std::next(it)
-                                               : timings.erase(it);
-    }
+  // Per-rule wall time for every timed rule, so a cheap rule and a
+  // skipped rule are distinguishable.
+  out << "  \"rule_timings\": {";
+  const char* sep = " ";
+  for (const auto& [rule, ms] : stats.rule_wall_ms) {
+    out << sep << "\"" << rule << "\": " << ms;
+    sep = ", ";
   }
-  if (version >= 2 || !timings.empty()) {
-    out << "  \"rule_timings\": {";
-    std::size_t i = 0;
-    for (const auto& [rule, ms] : timings) {
-      out << (i++ ? ", " : " ") << "\"" << rule << "\": " << ms;
-    }
-    out << " },\n";
-  }
-  out << "  \"findings\": [\n";
+  out << " },\n  \"findings\": [\n";
   for (std::size_t i = 0; i < diags_.size(); ++i) {
     const Diagnostic& d = diags_[i];
     out << "    { \"rule\": \"" << d.rule << "\", \"severity\": \""

@@ -93,17 +93,12 @@ class Report {
   void sort();
 
   std::string to_text() const;
-  // Machine-readable report. `version` selects the schema:
-  //   2 (default) — "msvlint-report-v2": adds a "rule_timings" object that
-  //     lists wall time for every rule in stats.rule_wall_ms,
-  //     unconditionally (zero-diagnostic rules included).
-  //   1 — byte-compatible "msvlint-report-v1" for consumers pinned to the
-  //     old schema (--json-v1): rule timings only for rules that produced
-  //     at least one diagnostic, and the key is omitted entirely when no
-  //     rule did — the omission v2 exists to fix.
+  // Machine-readable report, schema "msvlint-report-v2": its
+  // "rule_timings" object lists wall time for every rule in
+  // stats.rule_wall_ms, zero-diagnostic rules included.
   std::string to_json(const std::vector<std::string>& rules_run,
                       const AnalysisStats& stats,
-                      const std::string& target = "", int version = 2) const;
+                      const std::string& target = "") const;
 
   AnalysisStats& stats() { return stats_; }
   const AnalysisStats& stats() const { return stats_; }

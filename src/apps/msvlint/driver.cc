@@ -396,8 +396,8 @@ int run_driver(const DriverOptions& options, std::ostream& out,
       rules.erase(std::remove(rules.begin(), rules.end(), "MSV010"),
                   rules.end());
     }
-    const std::string json = total.to_json(rules, total.stats(), target_names,
-                                           options.json_version);
+    const std::string json =
+        total.to_json(rules, total.stats(), target_names);
     if (options.json_path == "-") {
       out << json;
     } else {

@@ -57,7 +57,6 @@ struct DriverOptions {
   std::string baseline_path;        // suppress findings listed in this file
   std::string write_baseline_path;  // write a baseline covering all findings
   std::string json_path;            // emit the JSON report here
-  int json_version = 2;             // 1 = msvlint-report-v1 compat schema
   bool quiet = false;               // suppress per-finding text output
 };
 

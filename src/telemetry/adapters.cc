@@ -1,7 +1,6 @@
 #include "telemetry/adapters.h"
 
 #include "fleet/router.h"
-#include "rmi/proxy_runtime.h"
 #include "runtime/heap.h"
 #include "sched/scheduler.h"
 #include "server/server.h"
@@ -80,28 +79,6 @@ void publish_heap(MetricsRegistry& m, const rt::HeapStats& s,
   set(m, "msv_heap_copied_bytes_total", s.copied_bytes_total, labels);
   set(m, "msv_heap_gc_cycles_total", s.gc_cycles_total, labels);
   set(m, "msv_heap_last_live_bytes", s.last_live_bytes, labels);
-}
-
-void publish_rmi(MetricsRegistry& m, const rmi::RmiStats& s) {
-  set(m, "msv_rmi_proxies_created", s.proxies_created);
-  set(m, "msv_rmi_proxies_materialized", s.proxies_materialized);
-  set(m, "msv_rmi_mirrors_registered", s.mirrors_registered);
-  set(m, "msv_rmi_remote_invocations", s.remote_invocations);
-  set(m, "msv_rmi_fast_path_calls", s.fast_path_calls);
-  // Batching (DESIGN.md §13): remote_invocations counts logical calls;
-  // transitions counts bridge round trips. Their ratio is the realized
-  // amortization.
-  set(m, "msv_rmi_transitions", s.transitions);
-  set(m, "msv_rmi_batched_calls", s.batched_calls);
-  set(m, "msv_rmi_batch_flushes", s.batch_flushes);
-}
-
-void publish_gc_helper(MetricsRegistry& m, const rmi::GcHelperStats& s,
-                       const std::string& side) {
-  const LabelSet labels = {{"side", side}};
-  set(m, "msv_gc_helper_scans", s.scans, labels);
-  set(m, "msv_gc_helper_proxies_collected", s.proxies_collected, labels);
-  set(m, "msv_gc_helper_eviction_calls", s.eviction_calls, labels);
 }
 
 void publish_server(MetricsRegistry& m, const server::TenantStats& s) {

@@ -8,7 +8,7 @@
 // adding a single instruction to the paths being measured.
 //
 // Metric names follow msv_<subsystem>_<what>[_cycles|_bytes]; labels
-// carry the dimension ({call=...}, {tenant=...}, {heap=...}, {side=...}).
+// carry the dimension ({call=...}, {tenant=...}, {heap=...}).
 #pragma once
 
 #include <cstdint>
@@ -27,10 +27,6 @@ struct SchedulerStats;
 namespace msv::rt {
 struct HeapStats;
 }
-namespace msv::rmi {
-struct RmiStats;
-struct GcHelperStats;
-}  // namespace msv::rmi
 namespace msv::server {
 struct RecoveryStats;
 struct TenantStats;
@@ -52,10 +48,6 @@ void publish_scheduler(MetricsRegistry& metrics,
                        const sched::SchedulerStats& stats);
 void publish_heap(MetricsRegistry& metrics, const rt::HeapStats& stats,
                   const std::string& heap_label);
-void publish_rmi(MetricsRegistry& metrics, const rmi::RmiStats& stats);
-void publish_gc_helper(MetricsRegistry& metrics,
-                       const rmi::GcHelperStats& stats,
-                       const std::string& side);
 // Server totals (msv_server_*): `totals` is RequestServer::totals().
 void publish_server(MetricsRegistry& metrics,
                     const server::TenantStats& totals);

@@ -176,55 +176,6 @@ std::string chrome_trace_json(const Tracer& tracer, double hz) {
   return out;
 }
 
-std::string folded_stacks(const Tracer& tracer) {
-  const std::deque<SpanRecord>& spans = tracer.spans();
-
-  std::unordered_map<std::uint64_t, std::size_t> by_id;
-  std::unordered_map<std::uint64_t, Cycles> child_cycles;
-  by_id.reserve(spans.size());
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    if (spans[i].open) continue;
-    by_id.emplace(spans[i].span_id, i);
-    child_cycles[spans[i].parent_id] += spans[i].end - spans[i].start;
-  }
-
-  std::map<std::string, std::uint64_t> folded;  // sorted output for free
-  for (const SpanRecord& span : spans) {
-    if (span.open) continue;
-    const Cycles dur = span.end - span.start;
-    const Cycles children = child_cycles.count(span.span_id)
-                                ? child_cycles[span.span_id]
-                                : 0;
-    // Exclusive time; adopted children can outlive the parent, so clamp.
-    const Cycles exclusive = dur > children ? dur - children : 0;
-
-    std::vector<const std::string*> path;
-    path.push_back(&tracer.name(span.name));
-    std::uint64_t parent = span.parent_id;
-    while (parent != 0) {
-      const auto it = by_id.find(parent);
-      if (it == by_id.end()) break;  // parent record dropped: partial path
-      path.push_back(&tracer.name(spans[it->second].name));
-      parent = spans[it->second].parent_id;
-    }
-    std::string key;
-    for (auto it = path.rbegin(); it != path.rend(); ++it) {
-      if (!key.empty()) key += ';';
-      key += **it;
-    }
-    folded[key] += exclusive;
-  }
-
-  std::string out;
-  for (const auto& [path, cycles] : folded) {
-    out += path;
-    out += ' ';
-    out += std::to_string(cycles);
-    out += '\n';
-  }
-  return out;
-}
-
 std::string metric_help(const std::string& name) {
   // Curated help for the families the repo exports; the fallback keeps
   // the exposition conformant (every family gets a # HELP line) and

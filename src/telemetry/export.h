@@ -7,9 +7,6 @@
 //     microseconds (cycles / hz * 1e6, 3 decimals); span/trace/parent ids
 //     and raw cycle counts ride in args so the causal tree survives the
 //     conversion.
-//   * folded_stacks — flamegraph.pl / speedscope "folded" text: one line
-//     per unique span path with the summed *exclusive* cycles (children
-//     subtracted), sorted lexicographically.
 //   * prometheus_text — Prometheus exposition text, conformant with the
 //     exposition-format spec: # HELP + # TYPE per family, label values
 //     escaped (backslash, double-quote, newline), histograms emitting
@@ -24,8 +21,6 @@
 namespace msv::telemetry {
 
 std::string chrome_trace_json(const Tracer& tracer, double hz);
-
-std::string folded_stacks(const Tracer& tracer);
 
 std::string prometheus_text(const MetricsRegistry& metrics);
 

@@ -361,14 +361,6 @@ void Tracer::end_detached(const DetachedSpan& span) {
   r.open = false;
 }
 
-void Tracer::reset() {
-  spans_.clear();
-  stacks_.clear();
-  dropped_ = 0;
-  for (std::uint64_t& d : dropped_by_category_) d = 0;
-  next_span_id_ = 1;
-}
-
 // ---------------------------------------------------------------------------
 // Telemetry facade
 

@@ -301,8 +301,6 @@ class Tracer {
   // after the ring wraps.
   std::vector<std::uint32_t> stack_names(std::uint64_t tid) const;
 
-  void reset();
-
  private:
   struct Frame {
     std::uint32_t index;  // kNoIndex when the record was dropped

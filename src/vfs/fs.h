@@ -1,9 +1,8 @@
 // Filesystem abstraction used by the host-side shim helper (§5.4).
 //
-// Two implementations exist: MemFs, a deterministic in-memory filesystem
-// used by tests and benchmarks, and RealFs, a pass-through to the host OS
-// for the examples. The shim layer charges syscall costs; this layer only
-// moves bytes.
+// MemFs, a deterministic in-memory filesystem, implements it for the
+// tests, benchmarks and examples. The shim layer charges syscall costs;
+// this layer only moves bytes.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +26,7 @@ class File {
 
   // Reads up to `n` bytes; returns the number of bytes read (0 at EOF).
   virtual std::size_t read(void* buf, std::size_t n) = 0;
-  // Writes exactly `n` bytes (the in-memory FS cannot fail short; RealFs
-  // throws RuntimeFault on short writes).
+  // Writes exactly `n` bytes.
   virtual void write(const void* buf, std::size_t n) = 0;
   virtual void seek(std::uint64_t pos) = 0;
   virtual std::uint64_t tell() const = 0;
@@ -74,18 +72,6 @@ class MemFs final : public FileSystem {
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
-};
-
-// Pass-through to the host OS (stdio). Paths are used verbatim.
-class RealFs final : public FileSystem {
- public:
-  std::unique_ptr<File> open(const std::string& path, OpenMode mode) override;
-  bool exists(const std::string& path) const override;
-  std::uint64_t file_size(const std::string& path) const override;
-  void remove(const std::string& path) override;
-  std::vector<std::string> list(const std::string& prefix) const override;
-  std::shared_ptr<const std::vector<std::uint8_t>> map(
-      const std::string& path) override;
 };
 
 }  // namespace msv::vfs

@@ -659,35 +659,11 @@ TEST(Diag, JsonReportShape) {
   EXPECT_NE(json.find("\"rule\": \"MSV007\""), std::string::npos);
   EXPECT_NE(json.find("\"errors\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"methods_analyzed\""), std::string::npos);
-  // v2 emits the timing object unconditionally: every rule the linter ran
-  // has an entry even with zero diagnostics (the v1 omission this schema
-  // bump exists to fix).
+  // The timing object is unconditional: every rule the linter ran has an
+  // entry even with zero diagnostics.
   EXPECT_NE(json.find("\"rule_timings\""), std::string::npos);
   EXPECT_NE(json.find("\"MSV003\":"), std::string::npos)
       << "zero-diagnostic rules keep their timing entry in v2";
-}
-
-TEST(Diag, JsonReportV1CompatDropsZeroDiagnosticTimings) {
-  model::AppModel app;
-  auto& cls = app.add_class("Broken", Annotation::kUntrusted);
-  cls.add_method("run", 0).body(raw_body({{Op::kJump, 99, 0}}));
-  const analysis::Report report = analysis::lint(app);
-  const std::string v1 =
-      report.to_json(analysis::lint_rule_ids(), report.stats(), "unit", 1);
-  EXPECT_NE(v1.find("\"schema\": \"msvlint-report-v1\""), std::string::npos);
-  // The legacy schema only ever carried timings for rules with findings;
-  // MSV007 fired here, every other rule must be filtered out.
-  EXPECT_EQ(v1.find("\"MSV003\":"), std::string::npos);
-
-  // A fully clean report under v1 omits the rule_timings key entirely —
-  // byte-compatible with historical reports, which predate rule_wall_ms.
-  const analysis::Report clean = analysis::lint(apps::build_bank_app(true));
-  const std::string clean_v1 =
-      clean.to_json(analysis::lint_rule_ids(), clean.stats(), "bank", 1);
-  EXPECT_EQ(clean_v1.find("rule_timings"), std::string::npos);
-  const std::string clean_v2 =
-      clean.to_json(analysis::lint_rule_ids(), clean.stats(), "bank");
-  EXPECT_NE(clean_v2.find("rule_timings"), std::string::npos);
 }
 
 TEST(Diag, RuleCatalogueIsStable) {
@@ -887,12 +863,6 @@ TEST(Driver, BuiltInTargetsLintCleanAndEmitJson) {
   EXPECT_EQ(apps::msvlint::run_driver(options, out, err), 0);
   EXPECT_NE(out.str().find("msvlint-report-v2"), std::string::npos);
   EXPECT_NE(out.str().find("0 error(s)"), std::string::npos);
-
-  // --json-v1 keeps the legacy schema available for downstream consumers.
-  options.json_version = 1;
-  std::ostringstream out1, err1;
-  EXPECT_EQ(apps::msvlint::run_driver(options, out1, err1), 0);
-  EXPECT_NE(out1.str().find("msvlint-report-v1"), std::string::npos);
 }
 
 TEST(Driver, BaselineWorkflowSuppressesSeededViolations) {

@@ -1,8 +1,6 @@
-// Tests for src/vfs: in-memory and real filesystems.
+// Tests for src/vfs: the in-memory filesystem.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
 #include <vector>
 
 #include "support/error.h"
@@ -120,51 +118,6 @@ TEST(MemFs, TotalBytes) {
   fs.open("a", OpenMode::kWrite)->write("xx", 2);
   fs.open("b", OpenMode::kWrite)->write("yyy", 3);
   EXPECT_EQ(fs.total_bytes(), 5u);
-}
-
-class RealFsTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "msv_realfs_test";
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
-  std::string path(const std::string& name) { return (dir_ / name).string(); }
-
-  std::filesystem::path dir_;
-};
-
-TEST_F(RealFsTest, WriteReadRoundTrip) {
-  RealFs fs;
-  {
-    auto f = fs.open(path("t.bin"), OpenMode::kWrite);
-    f->write("realdata", 8);
-  }
-  EXPECT_TRUE(fs.exists(path("t.bin")));
-  EXPECT_EQ(fs.file_size(path("t.bin")), 8u);
-  auto data = fs.map(path("t.bin"));
-  EXPECT_EQ(std::string(data->begin(), data->end()), "realdata");
-  fs.remove(path("t.bin"));
-  EXPECT_FALSE(fs.exists(path("t.bin")));
-}
-
-TEST_F(RealFsTest, SeekTellSize) {
-  RealFs fs;
-  auto f = fs.open(path("s.bin"), OpenMode::kWrite);
-  f->write("0123456789", 10);
-  EXPECT_EQ(f->tell(), 10u);
-  EXPECT_EQ(f->size(), 10u);
-  f->seek(4);
-  EXPECT_EQ(f->tell(), 4u);
-}
-
-TEST_F(RealFsTest, ListByPrefix) {
-  RealFs fs;
-  fs.open(path("pre.0"), OpenMode::kWrite)->write("a", 1);
-  fs.open(path("pre.1"), OpenMode::kWrite)->write("b", 1);
-  fs.open(path("zzz"), OpenMode::kWrite)->write("c", 1);
-  EXPECT_EQ(fs.list(path("pre.")).size(), 2u);
 }
 
 }  // namespace

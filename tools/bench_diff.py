@@ -1,156 +1,73 @@
 #!/usr/bin/env python3
 """bench_diff.py — the perf-regression gate (DESIGN.md §16).
 
-Compares a freshly produced BENCH_*.json against the checked-in baseline
-and fails when the run regressed past the tolerance bands:
-
-  * throughput-like metrics (``*_throughput_rps``, ``*_rps``): FAIL when
-    the candidate is more than --throughput-tol (default 10%) BELOW the
-    baseline;
-  * tail-latency metrics (``*_p99_us``, ``*_p99_cycles``): FAIL when the
-    candidate is more than --p99-tol (default 20%) ABOVE the baseline;
-  * everything else: informational only (printed with --verbose) — counts
-    move legitimately when scenarios change, and the simulator's own
-    determinism self-checks already guard exactness within a run.
-
-Only the ``metrics`` object is compared (checked-in artifacts carry extra
-post-processed keys like ``git_sha``), and only over the intersection of
-keys: a new scenario adds keys without breaking the gate, and a removed
-one drops out the next time the baseline is refreshed. An *empty*
-intersection, however, is a hard failure: it means every key was renamed
-(or the wrong files were paired) and the gate would silently compare
-nothing — exactly the rot this tool exists to prevent.
-
-Scale guard: when the two files disagree on workload-scale keys
-(``requests``, ``tenants``, ``iterations``) the comparison would be
-meaningless — e.g. a --smoke run against a full-length baseline — so the
-gate exits 0 with a notice instead of crying wolf.
+Every metric a BENCH_*.json records is a deterministic simulated count or
+a number derived from one, so a fresh report must reproduce its checked-in
+baseline exactly: the same "benchmark", the same set of metric keys and
+equal values. Anything else is a regression or a re-baseline nobody
+recorded, and the gate lists every changed, missing and extra key with
+both values. Only the "metrics" object is compared; provenance such as
+"git_sha" and the printed tables are not.
 
 Usage:
-    bench_diff.py BASELINE CANDIDATE [--throughput-tol=0.10]
-                  [--p99-tol=0.20] [--verbose]
+    bench_diff.py BASELINE CANDIDATE
 
-Exit status: 0 = within bands (or scale-skipped), 1 = regression or an
-empty metric-key intersection, 2 = unreadable/malformed input.
+Exit status: 0 = every key equal; 1 = a key changed, is missing or is
+extra, or the baseline has no metrics (the gate would compare nothing);
+2 = usage error, unreadable or malformed input, or reports of two
+different benchmarks.
 """
 
-import argparse
 import json
 import sys
 
-SCALE_KEYS = ("requests", "tenants", "iterations", "ops", "calls")
 
-
-def is_throughput(key):
-    return key.endswith("_throughput_rps") or key.endswith("_rps")
-
-
-def is_p99(key):
-    return key.endswith("_p99_us") or key.endswith("_p99_cycles")
-
-
-def load_metrics(path):
+def load(path):
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         print(f"bench_diff: cannot read {path}: {e}", file=sys.stderr)
         sys.exit(2)
-    metrics = doc.get("metrics")
+    metrics = doc.get("metrics") if isinstance(doc, dict) else None
     if not isinstance(metrics, dict):
         print(f"bench_diff: {path} has no metrics object", file=sys.stderr)
         sys.exit(2)
-    out = {}
-    for key, value in metrics.items():
-        try:
-            out[key] = float(value)
-        except (TypeError, ValueError):
-            continue
-    return doc.get("benchmark", "?"), out
+    return doc.get("benchmark", "?"), metrics
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("baseline")
-    ap.add_argument("candidate")
-    ap.add_argument("--throughput-tol", type=float, default=0.10,
-                    help="max fractional throughput drop (default 0.10)")
-    ap.add_argument("--p99-tol", type=float, default=0.20,
-                    help="max fractional p99 rise (default 0.20)")
-    ap.add_argument("--verbose", action="store_true",
-                    help="also print informational (ungated) deltas")
-    args = ap.parse_args()
-
-    base_name, base = load_metrics(args.baseline)
-    cand_name, cand = load_metrics(args.candidate)
-    if base_name != cand_name:
+def main(argv):
+    if len(argv) != 2:
+        print("usage: bench_diff.py BASELINE CANDIDATE", file=sys.stderr)
+        return 2
+    name, base = load(argv[0])
+    cand_name, cand = load(argv[1])
+    if name != cand_name:
         print(f"bench_diff: comparing different benchmarks "
-              f"({base_name} vs {cand_name})", file=sys.stderr)
-        sys.exit(2)
-
-    common = sorted(set(base) & set(cand))
-    if not common:
-        # An empty intersection is never a benign skip: it means the
-        # baseline predates a metric-key rename (or one side is from a
-        # different world entirely), and silently returning 0 here is how
-        # a gate rots into a no-op. Name the keys on both sides so the
-        # rename is obvious from the failure message alone.
-        print(f"bench_diff: {base_name}: no common metric keys — the gate "
-              "would compare nothing, failing hard instead.",
-              file=sys.stderr)
-        print(f"  baseline keys:  {', '.join(sorted(base)) or '(none)'}",
-              file=sys.stderr)
-        print(f"  candidate keys: {', '.join(sorted(cand)) or '(none)'}",
-              file=sys.stderr)
-        print("  (did a metric or scale key get renamed without "
-              "re-baselining?)", file=sys.stderr)
+              f"({name} vs {cand_name})", file=sys.stderr)
+        return 2
+    if not base:
+        print(f"bench_diff: {name}: the baseline has no metrics; failing "
+              "hard instead of comparing nothing")
         return 1
 
-    for key in SCALE_KEYS:
-        if key in base and key in cand and base[key] != cand[key]:
-            print(f"bench_diff: {base_name}: scale key '{key}' differs "
-                  f"({base[key]:g} vs {cand[key]:g}) — runs are not "
-                  "comparable, skipping the gate")
-            return 0
-
-    failures = []
-    gated = 0
-    for key in common:
-        b, c = base[key], cand[key]
-        if is_throughput(key):
-            gated += 1
-            if b > 0 and c < b * (1.0 - args.throughput_tol):
-                failures.append(
-                    f"  FAIL {key}: {c:g} vs baseline {b:g} "
-                    f"({(c / b - 1.0) * 100:+.1f}%, tolerance "
-                    f"-{args.throughput_tol * 100:.0f}%)")
-            elif args.verbose:
-                delta = (c / b - 1.0) * 100 if b else 0.0
-                print(f"  ok   {key}: {c:g} vs {b:g} ({delta:+.1f}%)")
-        elif is_p99(key):
-            gated += 1
-            if b > 0 and c > b * (1.0 + args.p99_tol):
-                failures.append(
-                    f"  FAIL {key}: {c:g} vs baseline {b:g} "
-                    f"({(c / b - 1.0) * 100:+.1f}%, tolerance "
-                    f"+{args.p99_tol * 100:.0f}%)")
-            elif args.verbose:
-                delta = (c / b - 1.0) * 100 if b else 0.0
-                print(f"  ok   {key}: {c:g} vs {b:g} ({delta:+.1f}%)")
-        elif args.verbose and b != c:
-            delta = (c / b - 1.0) * 100 if b else float("inf")
-            print(f"  info {key}: {c:g} vs {b:g} ({delta:+.1f}%)")
-
-    if failures:
-        print(f"bench_diff: {base_name}: {len(failures)} regression(s) "
-              f"past tolerance ({gated} gated metrics):")
-        print("\n".join(failures))
+    problems = []
+    for key in sorted(base.keys() | cand.keys()):
+        if key not in cand:
+            problems.append(f"  missing {key}: baseline {base[key]!r}")
+        elif key not in base:
+            problems.append(f"  extra   {key}: candidate {cand[key]!r}")
+        elif base[key] != cand[key]:
+            problems.append(f"  changed {key}: baseline {base[key]!r}, "
+                            f"candidate {cand[key]!r}")
+    if problems:
+        print(f"bench_diff: {name}: {len(problems)} metric key(s) differ "
+              f"from the {len(base)}-key baseline:")
+        print("\n".join(problems))
         return 1
-    print(f"bench_diff: {base_name}: OK — {gated} gated metrics within "
-          f"bands (-{args.throughput_tol * 100:.0f}% throughput / "
-          f"+{args.p99_tol * 100:.0f}% p99), {len(common)} compared")
+    print(f"bench_diff: {name}: OK, all {len(base)} metric keys equal")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

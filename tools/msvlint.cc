@@ -36,7 +36,6 @@
 //     --baseline=FILE        suppress findings listed in FILE
 //     --write-baseline=FILE  write a baseline covering current findings
 //     --json=FILE            emit JSON report to FILE ('-' for stdout)
-//     --json-v1              emit the legacy msvlint-report-v1 schema
 //     --quiet                summary only, no per-finding lines
 //
 // Exit status: 0 clean (or only warnings/suppressed), 1 unsuppressed
@@ -59,7 +58,7 @@ int usage() {
       "               [--fix] [--plan-out=FILE] [--plan-seed=N]\n"
       "               [--min-gain=F] [--verify-only] [--list-rules]\n"
       "               [--baseline=FILE] [--write-baseline=FILE]\n"
-      "               [--json=FILE] [--json-v1] [--quiet]\n",
+      "               [--json=FILE] [--quiet]\n",
       stderr);
   return 2;
 }
@@ -111,8 +110,6 @@ int main(int argc, char** argv) {
           static_cast<std::uint64_t>(std::strtoull(value.c_str(), nullptr, 10));
     } else if (parse_value(arg, "--min-gain", &value)) {
       options.plan_min_gain = std::atof(value.c_str());
-    } else if (arg == "--json-v1") {
-      options.json_version = 1;
     } else if (arg == "--verify-only") {
       options.verify_only = true;
     } else if (arg == "--list-rules") {

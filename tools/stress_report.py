@@ -3,19 +3,11 @@
 
 Each stress binary (bench/stress_*.cc) writes its own JsonReport with a
 scenario-local metric namespace. This tool merges them into a single
-report whose metric keys carry a scenario prefix (epc_, gc_, serde_,
-tcs_, storm_) so `tools/bench_diff.py` can gate the whole suite against
-one checked-in baseline.
-
-Two conventions matter for the gate:
-
-  * The merged report carries ONE unprefixed scale key, "iterations",
-    taken from the smallest per-binary scale metric. bench_diff's
-    SCALE_KEYS are exact-name matches, so smoke-vs-full comparisons skip
-    benignly while smoke-vs-smoke (the CI path) compares exactly.
-  * Per-binary scale keys ("requests"/"iterations") are NOT forwarded
-    under their prefixed names — prefixing would turn them into gated-
-    looking ordinary metrics while un-prefixed duplicates would collide.
+report whose metric and table keys carry a scenario prefix (epc_, gc_,
+serde_, tcs_, storm_), so `tools/bench_diff.py` can gate the whole suite
+against one checked-in baseline. A stressor's scale key ("iterations" or
+"requests") is forwarded under its prefix like any other metric, so a run
+at another scale differs from the baseline in those keys.
 
 Usage:
   tools/stress_report.py --out BENCH_stress.json \
@@ -27,12 +19,9 @@ import argparse
 import json
 import sys
 
-SCALE_KEYS = ("requests", "tenants", "iterations", "ops", "calls")
-
 
 def merge(inputs):
     merged = {"benchmark": "stress", "tables": {}, "metrics": {}}
-    scales = []
     for prefix, path in inputs:
         try:
             with open(path) as f:
@@ -45,15 +34,9 @@ def merge(inputs):
             print(f"stress_report: {path} has no metrics", file=sys.stderr)
             return None
         for key, val in metrics.items():
-            if key in SCALE_KEYS:
-                scales.append(val)
-                continue
             merged["metrics"][f"{prefix}_{key}"] = val
         for name, table in rep.get("tables", {}).items():
             merged["tables"][f"{prefix}_{name}"] = table
-    # One shared scale key: any cross-scale comparison (smoke vs full)
-    # must skip, so the smallest scale stands in for the whole suite.
-    merged["metrics"]["iterations"] = min(scales) if scales else 0
     return merged
 
 

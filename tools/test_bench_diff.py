@@ -2,34 +2,33 @@
 """Pytest-style checks for tools/bench_diff.py (run in CI by tier1.sh).
 
 Each ``test_*`` function exercises one exit-protocol contract of the
-perf-regression gate by invoking bench_diff.py as a subprocess on
-synthetic report pairs:
+exact baseline gate by invoking bench_diff.py as a subprocess on a report
+pair built from the checked-in BENCH_rmi_batch.json:
 
-  * within-band runs pass (exit 0),
-  * a throughput drop / p99 rise past tolerance fails (exit 1),
-  * a scale-key mismatch skips the gate (exit 0 with a notice),
-  * an EMPTY metric-key intersection is a hard failure (exit 1) that
-    names the keys on both sides — the regression this file pins is the
-    old behaviour where a renamed scale key silently skipped *all*
-    metrics and the gate rotted into a no-op,
-  * malformed input exits 2.
+  * identical reports pass (exit 0),
+  * a one-cycle change in any key fails (exit 1) and names the key,
+  * a missing or an extra key fails (exit 1) and names it,
+  * an empty baseline fails hard (exit 1): the gate would compare nothing,
+  * a benchmark-name mismatch and malformed JSON exit 2.
 
 Runs under pytest if available, but needs nothing beyond the standard
 library: executing the file directly runs every test_* function and
 exits non-zero on the first failure.
 """
 
+import copy
 import json
 import os
 import subprocess
 import sys
 import tempfile
 
-BENCH_DIFF = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                          "bench_diff.py")
+TOOLS = os.path.dirname(os.path.abspath(__file__))
+BENCH_DIFF = os.path.join(TOOLS, "bench_diff.py")
+BASELINE = os.path.join(os.path.dirname(TOOLS), "BENCH_rmi_batch.json")
 
 
-def run_diff(base_doc, cand_doc, *extra):
+def run_diff(base_doc, cand_doc):
     """Writes both docs to temp files and runs bench_diff.py on them."""
     with tempfile.TemporaryDirectory() as d:
         base = os.path.join(d, "base.json")
@@ -41,70 +40,71 @@ def run_diff(base_doc, cand_doc, *extra):
                 else:
                     json.dump(doc, f)
         return subprocess.run(
-            [sys.executable, BENCH_DIFF, base, cand, *extra],
+            [sys.executable, BENCH_DIFF, base, cand],
             capture_output=True, text=True)
 
 
-def report(metrics, name="stress"):
-    return {"benchmark": name, "tables": {}, "metrics": metrics}
+def baseline():
+    with open(BASELINE, encoding="utf-8") as f:
+        return json.load(f)
 
 
-def test_within_bands_passes():
-    r = run_diff(report({"a_throughput_rps": 100.0, "a_p99_us": 50.0}),
-                 report({"a_throughput_rps": 95.0, "a_p99_us": 55.0}))
+def test_identical_reports_pass():
+    doc = baseline()
+    r = run_diff(doc, doc)
     assert r.returncode == 0, r.stdout + r.stderr
-    assert "OK" in r.stdout
+    assert f"all {len(doc['metrics'])} metric keys equal" in r.stdout
 
 
-def test_throughput_regression_fails():
-    r = run_diff(report({"a_throughput_rps": 100.0}),
-                 report({"a_throughput_rps": 80.0}))
+def test_one_cycle_change_fails_and_names_the_key():
+    base = baseline()
+    cand = copy.deepcopy(base)
+    cand["metrics"]["sim_cycles_w16"] += 1
+    r = run_diff(base, cand)
     assert r.returncode == 1, r.stdout + r.stderr
-    assert "a_throughput_rps" in r.stdout
+    was = base["metrics"]["sim_cycles_w16"]
+    assert (f"changed sim_cycles_w16: baseline {was}, candidate {was + 1}"
+            in r.stdout), r.stdout
 
 
-def test_p99_regression_fails():
-    r = run_diff(report({"a_p99_cycles": 1000.0}),
-                 report({"a_p99_cycles": 1500.0}))
+def test_missing_key_fails():
+    base = baseline()
+    cand = copy.deepcopy(base)
+    del cand["metrics"]["transitions_w8"]
+    r = run_diff(base, cand)
     assert r.returncode == 1, r.stdout + r.stderr
-    assert "a_p99_cycles" in r.stdout
+    assert "missing transitions_w8" in r.stdout, r.stdout
 
 
-def test_scale_key_mismatch_skips():
-    # Same metric keys, different workload scale: smoke vs full runs are
-    # not comparable, and the gate says so without crying wolf.
-    r = run_diff(report({"requests": 100, "a_throughput_rps": 100.0}),
-                 report({"requests": 10, "a_throughput_rps": 10.0}))
-    assert r.returncode == 0, r.stdout + r.stderr
-    assert "not comparable" in r.stdout
-
-
-def test_empty_intersection_is_a_hard_failure():
-    # The pinned regression: baseline predates a key rename, so the
-    # intersection is empty. The old gate printed "nothing to compare"
-    # and exited 0; it must exit 1 and name the keys on both sides.
-    r = run_diff(report({"old_requests": 100, "old_throughput_rps": 50.0}),
-                 report({"requests": 100, "a_throughput_rps": 50.0}))
+def test_extra_key_fails():
+    base = baseline()
+    cand = copy.deepcopy(base)
+    cand["metrics"]["transitions_w128"] = 512
+    r = run_diff(base, cand)
     assert r.returncode == 1, r.stdout + r.stderr
-    assert "no common metric keys" in r.stderr
-    assert "old_throughput_rps" in r.stderr, "baseline keys must be named"
-    assert "a_throughput_rps" in r.stderr, "candidate keys must be named"
+    assert "extra   transitions_w128: candidate 512" in r.stdout, r.stdout
 
 
-def test_both_sides_empty_is_a_hard_failure():
-    r = run_diff(report({}), report({}))
+def test_empty_baseline_is_a_hard_failure():
+    base = baseline()
+    empty = dict(base, metrics={})
+    r = run_diff(empty, base)
     assert r.returncode == 1, r.stdout + r.stderr
-    assert "(none)" in r.stderr
+    assert "baseline has no metrics" in r.stdout
+    r = run_diff(empty, empty)
+    assert r.returncode == 1, r.stdout + r.stderr
 
 
 def test_mismatched_benchmark_names_exit_2():
-    r = run_diff(report({"a_rps": 1.0}, name="x"),
-                 report({"a_rps": 1.0}, name="y"))
+    base = baseline()
+    r = run_diff(base, dict(base, benchmark="abl_rmi_fastpath"))
     assert r.returncode == 2, r.stdout + r.stderr
 
 
 def test_malformed_input_exits_2():
-    r = run_diff("{not json", report({"a_rps": 1.0}))
+    r = run_diff("{not json", baseline())
+    assert r.returncode == 2, r.stdout + r.stderr
+    r = run_diff(baseline(), "[1, 2]")
     assert r.returncode == 2, r.stdout + r.stderr
 
 

@@ -13,7 +13,7 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 
 cmake -B "$BUILD_DIR" -S .
-cmake --build "$BUILD_DIR" -j
+cmake --build "$BUILD_DIR" -j"$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j
 
 # Host allocations of one serve, rmi, kv and gc launch: ctest above gates
@@ -59,17 +59,20 @@ done
 
 # Request-server figure (DESIGN.md §8) at full size, the scale
 # BENCH_server.json was recorded at: load, TCS, switchless and coalescing
-# sweeps plus its own two-run determinism check.
-"$BUILD_DIR"/bench/fig_server --json="$BUILD_DIR"/BENCH_server.json > /dev/null
+# sweeps plus its own two-run determinism check. bench_to_json lifts the
+# per-tenant latency quantiles of the metrics dump into the report.
+tools/bench_to_json "$BUILD_DIR"/bench/fig_server "$BUILD_DIR"/BENCH_server.json \
+  --metrics-out="$BUILD_DIR"/fig_server_full_metrics.txt > /dev/null
 
 # Fleet smoke (DESIGN.md §14 + §16): 64 Zipfian tenants over a sharded
 # enclave fleet — ring routing, a loss storm served by warm-standby
 # promotion vs the restart ladder (promotion must win the p99 by >= 3x),
 # a hot-tenant migration, a fleet-wide two-run determinism self-check,
 # and the health-under-storm scenario (SLO monitor + flight recorder +
-# profiler armed at zero simulated-cycle cost; artifacts below).
-"$BUILD_DIR"/bench/fig_fleet --smoke \
-  --json="$BUILD_DIR"/BENCH_fleet.json \
+# profiler armed at zero simulated-cycle cost; artifacts below). The
+# per-shard latency quantiles of its metrics dump join the report too.
+tools/bench_to_json "$BUILD_DIR"/bench/fig_fleet "$BUILD_DIR"/BENCH_fleet.json \
+  --smoke --metrics-out="$BUILD_DIR"/fleet_metrics.txt \
   --health-out="$BUILD_DIR"/fleet_health.txt \
   --postmortem-out="$BUILD_DIR"/fleet_postmortem.json \
   --folded-out="$BUILD_DIR"/fleet_folded.txt > /dev/null
@@ -80,12 +83,10 @@ done
   --postmortem="$BUILD_DIR"/fleet_postmortem.json \
   --folded="$BUILD_DIR"/fleet_folded.txt --summary
 
-# Perf-regression gate (DESIGN.md §16): fresh smoke reports vs the
-# checked-in baselines — fail on >10% throughput drop or >20% p99 rise.
-# (Counters and clocks are exact by determinism; the bands only absorb
-# legitimate re-baselines, not drift.)
+# Perf-regression gate (DESIGN.md §16): every fresh report must equal its
+# checked-in baseline, run at the same size, key for key and value for
+# value; a deliberate change re-baselines the file.
 tools/bench_diff.py BENCH_fleet.json "$BUILD_DIR"/BENCH_fleet.json
-tools/bench_diff.py BENCH_health.json "$BUILD_DIR"/BENCH_fleet.json
 tools/bench_diff.py BENCH_faults.json "$BUILD_DIR"/BENCH_faults.json
 tools/bench_diff.py BENCH_server.json "$BUILD_DIR"/BENCH_server.json
 tools/bench_diff.py BENCH_rmi_batch.json "$BUILD_DIR"/BENCH_rmi_batch.json
@@ -105,10 +106,11 @@ tools/bench_diff.py BENCH_rmi_batch.json "$BUILD_DIR"/BENCH_rmi_batch.json
 "$BUILD_DIR"/tools/msvlint --synthetic=16 --untrusted-fraction=0 \
   --secret-fraction=0.25 --fix --quiet > /dev/null
 
-# Partition-optimizer smoke (DESIGN.md §15): aborts unless the optimized
+# Partition optimizer (DESIGN.md §15) at full size, the scale
+# BENCH_partition.json was recorded at: aborts unless the optimized
 # partition replays byte-identically (2+2 runs), keeps every
 # secret-carrying class inside, and cuts boundary crossings >= 20%.
-"$BUILD_DIR"/bench/abl_partition --smoke \
+"$BUILD_DIR"/bench/abl_partition \
   --json="$BUILD_DIR"/BENCH_partition.json > /dev/null
 tools/bench_diff.py BENCH_partition.json "$BUILD_DIR"/BENCH_partition.json
 
@@ -118,8 +120,6 @@ tools/bench_diff.py BENCH_partition.json "$BUILD_DIR"/BENCH_partition.json
 # pathological serde shapes + sealed checkpoints, TCS exhaustion, and the
 # fault storm under overload with the health stack armed. Their reports
 # merge into one BENCH_stress.json gated against the checked-in baseline.
-# bench_diff gates only its *_rps and *_p99_* keys, within bands; none of
-# stress_epc's keys is among them (abl_epc above pins the EPC model).
 for s in epc gc serde tcs storm; do
   "$BUILD_DIR"/bench/stress_$s --smoke \
     --json="$BUILD_DIR"/stress_$s.json > /dev/null
@@ -130,8 +130,8 @@ tools/stress_report.py --out "$BUILD_DIR"/BENCH_stress.json \
   storm="$BUILD_DIR"/stress_storm.json > /dev/null
 tools/bench_diff.py BENCH_stress.json "$BUILD_DIR"/BENCH_stress.json
 
-# bench_diff's own contract (gating bands, scale-key skip, empty-
-# intersection hard failure) is load-bearing for every gate above.
+# bench_diff's own contract (exact equality of the whole key set, an
+# empty baseline failing hard) is load-bearing for every gate above.
 python3 tools/test_bench_diff.py > /dev/null
 
 # Telemetry smoke: a traced serving run must emit a valid Chrome trace
