@@ -11,6 +11,10 @@
 // Expected shape: NoSGX fastest; RTWU ≈ 2.5x faster than NoPart (writes
 // leave the enclave); RUWT barely better than NoPart (~1.04x) because the
 // in-enclave writer does ~23x more ocalls than RTWU.
+//
+// --smoke runs 10k and 20k keys only; --json=<path> reports each
+// configuration's simulated cycles and ocalls at each size plus the three
+// averages (BENCH_paldb.json is the smoke run's report).
 #include "apps/paldb/model.h"
 #include "bench/bench_common.h"
 #include "core/montsalvat.h"
@@ -23,6 +27,7 @@ using apps::paldb::Scheme;
 
 struct RunOutcome {
   double seconds = 0;
+  Cycles cycles = 0;
   std::uint64_t ocalls = 0;
 };
 
@@ -37,11 +42,13 @@ RunOutcome run_paldb(const char* mode, std::uint64_t n_keys) {
         apps::paldb::build_paldb_app(Scheme::kUnpartitioned, workload));
     app.run_main();
     out.seconds = app.now_seconds();
+    out.cycles = app.env().clock.now();
   } else if (m == "NoPart") {
     core::UnpartitionedApp app(
         apps::paldb::build_paldb_app(Scheme::kUnpartitioned, workload));
     app.run_main();
     out.seconds = app.now_seconds();
+    out.cycles = app.env().clock.now();
     out.ocalls = app.bridge().stats().ocalls;
   } else {
     const Scheme scheme = m == "Part(RTWU)"
@@ -50,6 +57,7 @@ RunOutcome run_paldb(const char* mode, std::uint64_t n_keys) {
     core::PartitionedApp app(apps::paldb::build_paldb_app(scheme, workload));
     app.run_main();
     out.seconds = app.now_seconds();
+    out.cycles = app.env().clock.now();
     out.ocalls = app.bridge().stats().ocalls;
   }
   return out;
@@ -58,22 +66,35 @@ RunOutcome run_paldb(const char* mode, std::uint64_t n_keys) {
 }  // namespace
 }  // namespace msv
 
-int main() {
+int main(int argc, char** argv) {
   using namespace msv;
+  const bench::BenchOptions opt = bench::BenchOptions::parse(argc, argv);
   bench::print_header("Figure 7", "time to read and write K/V pairs (PalDB)");
 
+  constexpr const char* kModes[] = {"NoSGX", "NoPart", "Part(RTWU)",
+                                    "Part(RUWT)"};
+  constexpr const char* kMetricNames[] = {"nosgx", "nopart", "rtwu", "ruwt"};
+  bench::JsonReport report("fig07_paldb");
   Table table({"# keys", "NoSGX", "NoPart", "Part(RTWU)", "Part(RUWT)"});
   double sum_rtwu_speedup = 0, sum_ruwt_speedup = 0;
   double sum_ocall_ratio = 0;
   int rows = 0;
-  for (std::uint64_t n = 10'000; n <= 100'000; n += 10'000) {
-    const RunOutcome nosgx = run_paldb("NoSGX", n);
-    const RunOutcome nopart = run_paldb("NoPart", n);
-    const RunOutcome rtwu = run_paldb("Part(RTWU)", n);
-    const RunOutcome ruwt = run_paldb("Part(RUWT)", n);
-    table.add_row({std::to_string(n / 1000) + "k", bench::fmt_s(nosgx.seconds),
-                   bench::fmt_s(nopart.seconds), bench::fmt_s(rtwu.seconds),
-                   bench::fmt_s(ruwt.seconds)});
+  const std::uint64_t max_keys = opt.smoke ? 20'000 : 100'000;
+  for (std::uint64_t n = 10'000; n <= max_keys; n += 10'000) {
+    const std::string size = std::to_string(n / 1000) + "k";
+    RunOutcome runs[4];
+    std::vector<std::string> row = {size};
+    for (int m = 0; m < 4; ++m) {
+      runs[m] = run_paldb(kModes[m], n);
+      row.push_back(bench::fmt_s(runs[m].seconds));
+      const std::string key = std::string(kMetricNames[m]) + "_";
+      report.add_metric(key + "cycles_" + size, runs[m].cycles);
+      report.add_metric(key + "ocalls_" + size, runs[m].ocalls);
+    }
+    const RunOutcome& nopart = runs[1];
+    const RunOutcome& rtwu = runs[2];
+    const RunOutcome& ruwt = runs[3];
+    table.add_row(row);
     sum_rtwu_speedup += nopart.seconds / rtwu.seconds;
     sum_ruwt_speedup += nopart.seconds / ruwt.seconds;
     sum_ocall_ratio +=
@@ -87,5 +108,12 @@ int main() {
       "          RUWT performs %.1fx more ocalls than RTWU (paper: ~23x)\n",
       sum_rtwu_speedup / rows, sum_ruwt_speedup / rows,
       sum_ocall_ratio / rows);
+  if (!opt.json_path.empty()) {
+    report.add_metric("avg_rtwu_speedup", sum_rtwu_speedup / rows);
+    report.add_metric("avg_ruwt_speedup", sum_ruwt_speedup / rows);
+    report.add_metric("avg_ocall_ratio", sum_ocall_ratio / rows);
+    report.add_table("fig07", table);
+    if (!report.write(opt.json_path)) return 1;
+  }
   return 0;
 }

@@ -149,18 +149,6 @@ void shrink_mid_run(bench::JsonReport& report, std::uint64_t epc_bytes,
   report.add_metric("shrink_drained_evictions", drained);
 }
 
-const char* pattern_name(Pattern p) {
-  switch (p) {
-    case Pattern::kSequential:
-      return "seq";
-    case Pattern::kStrided:
-      return "strided";
-    case Pattern::kZipf:
-      return "zipf";
-  }
-  return "?";
-}
-
 }  // namespace
 }  // namespace msv
 

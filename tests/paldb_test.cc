@@ -2,6 +2,9 @@
 // asymmetry (§6.5), and enclave-vs-host cost behaviour.
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "apps/paldb/model.h"
 #include "apps/paldb/store.h"
 #include "sgx/bridge.h"
 #include "sgx/enclave.h"
@@ -293,6 +296,124 @@ TEST(PaldbEnclaveBuild, FileOcallsAndCyclesArePinned) {
   }
   EXPECT_FALSE(env.fs->exists("pin.paldb.keys.tmp"));
   EXPECT_FALSE(env.fs->exists("pin.paldb.values.tmp"));
+}
+
+// An initialized enclave whose code reaches the files through the shim:
+// every file call the store makes from inside it is an ocall.
+struct ShimmedEnclave {
+  ShimmedEnclave() {
+    enclave.init(Sha256::hash("img"));
+    shim.register_ocalls();
+  }
+
+  // Runs `body` inside the enclave, in one ecall.
+  void run(const std::function<void()>& body) {
+    const sgx::CallId id = bridge.register_ecall("run", [&](ByteReader&) {
+      body();
+      return ByteBuffer();
+    });
+    ByteBuffer resp;
+    bridge.ecall(id, ByteBuffer(), resp);
+  }
+
+  const sgx::CallStats& ocall(const std::string& name) const {
+    return bridge.stats().per_call.at(name);
+  }
+
+  Env env;
+  sgx::Enclave enclave{env, "e", Sha256::hash("img"), 4096};
+  sgx::EnclaveDomain trusted{env, enclave};
+  UntrustedDomain untrusted{env};
+  shim::HostIo host{env, untrusted};
+  sgx::TransitionBridge bridge{env, enclave};
+  shim::EnclaveShim shim{env, bridge, host, trusted};
+};
+
+// Pins a store of realistic size built from inside an enclave: 20,000 of
+// Fig. 7's keys with 128-byte values, so both staging streams span
+// several 64 KiB chunks and the index holds long probe clusters. The
+// file's bytes, the build's cycles and its file ocalls must not move
+// when the store is built in a different way.
+TEST(PaldbEnclaveBuild, LargeStoreIsPinned) {
+  PaldbWorkload workload;
+  workload.n_keys = 20'000;
+  std::vector<std::string> keys;
+  std::vector<std::string> values;
+  for (std::uint64_t i = 0; i < workload.n_keys; ++i) {
+    keys.push_back(workload_key(workload, i));
+    values.push_back(workload_value(workload, i));
+  }
+
+  ShimmedEnclave e;
+  Cycles build_cycles = 0;
+  e.run([&] {
+    const Cycles t0 = e.env.clock.now();
+    StoreWriter writer(e.env, e.shim, "large.paldb");
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      writer.put(keys[i], values[i]);
+    }
+    writer.close();
+    build_cycles = e.env.clock.now() - t0;
+  });
+
+  const auto file = e.env.fs->map("large.paldb");
+  const std::string bytes(file->begin(), file->end());
+  EXPECT_EQ(Sha256::hex(Sha256::hash(bytes)),
+            "4b3ae9626294b83566f13f4910d01a49f875cd30b41242f529ab0702a9e4dcf1");
+  EXPECT_EQ(build_cycles, 690'149'576u);
+
+  struct Pin {
+    const char* ocall;
+    std::uint64_t calls, bytes_in, bytes_out;
+  };
+  for (const Pin& pin : {
+           // 2 per put + header, data, index
+           Pin{"ocall_fwrite", 40'003, 7'265'834, 0},
+           // keys: 5 chunks; values: 40
+           Pin{"ocall_fread", 45, 495, 2'918'732},
+           // 2 staging streams written, 2 read back, the store file
+           Pin{"ocall_fopen", 5, 105, 40},
+           Pin{"ocall_fclose", 5, 40, 0},
+           Pin{"ocall_unlink", 2, 44, 0}}) {
+    const sgx::CallStats& got = e.ocall(pin.ocall);
+    EXPECT_EQ(got.calls, pin.calls) << pin.ocall;
+    EXPECT_EQ(got.bytes_in, pin.bytes_in) << pin.ocall;
+    EXPECT_EQ(got.bytes_out, pin.bytes_out) << pin.ocall;
+  }
+
+  StoreReader reader(e.env, e.host, "large.paldb");
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(reader.get(keys[i]), values[i]) << i;
+  }
+}
+
+// A duplicate key fails close() before anything is written: the store
+// file is never created, both staging files stay in place, and no write
+// ocall follows the puts.
+TEST(PaldbEnclaveBuild, DuplicateKeyWritesNothing) {
+  ShimmedEnclave e;
+  std::uint64_t fwrites_after_puts = 0;
+  bool threw = false;
+  e.run([&] {
+    StoreWriter writer(e.env, e.shim, "dup.paldb");
+    for (int i = 0; i < 1000; ++i) {
+      writer.put("key" + std::to_string(i), "value" + std::to_string(i));
+    }
+    writer.put("key500", "again");
+    writer.put("key1000", "value1000");
+    fwrites_after_puts = e.ocall("ocall_fwrite").calls;
+    try {
+      writer.close();
+    } catch (const RuntimeFault&) {
+      threw = true;
+    }
+  });
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(fwrites_after_puts, 2u * 1002);
+  EXPECT_EQ(e.ocall("ocall_fwrite").calls, fwrites_after_puts);
+  EXPECT_FALSE(e.env.fs->exists("dup.paldb"));
+  EXPECT_TRUE(e.env.fs->exists("dup.paldb.keys.tmp"));
+  EXPECT_TRUE(e.env.fs->exists("dup.paldb.values.tmp"));
 }
 
 }  // namespace

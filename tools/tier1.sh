@@ -83,6 +83,13 @@ tools/bench_to_json "$BUILD_DIR"/bench/fig_fleet "$BUILD_DIR"/BENCH_fleet.json \
   --postmortem="$BUILD_DIR"/fleet_postmortem.json \
   --folded="$BUILD_DIR"/fleet_folded.txt --summary
 
+# Figure 7 (§6.5) smoke, 10k and 20k keys, the scale BENCH_paldb.json was
+# recorded at: each PalDB configuration's simulated cycles and ocalls, so
+# drift on the ocall path (the in-enclave writer's write storm, the
+# store's merge, the reader's page fetches) reaches a gated key.
+"$BUILD_DIR"/bench/fig07_paldb --smoke \
+  --json="$BUILD_DIR"/BENCH_paldb.json > /dev/null
+
 # Perf-regression gate (DESIGN.md §16): every fresh report must equal its
 # checked-in baseline, run at the same size, key for key and value for
 # value; a deliberate change re-baselines the file.
@@ -90,6 +97,7 @@ tools/bench_diff.py BENCH_fleet.json "$BUILD_DIR"/BENCH_fleet.json
 tools/bench_diff.py BENCH_faults.json "$BUILD_DIR"/BENCH_faults.json
 tools/bench_diff.py BENCH_server.json "$BUILD_DIR"/BENCH_server.json
 tools/bench_diff.py BENCH_rmi_batch.json "$BUILD_DIR"/BENCH_rmi_batch.json
+tools/bench_diff.py BENCH_paldb.json "$BUILD_DIR"/BENCH_paldb.json
 
 # msvlint must stay clean over the whole example/app corpus — including
 # the §6.5/§6.6 app models and the value-trust analysis feeding MSV010 —
@@ -141,4 +149,4 @@ python3 tools/test_bench_diff.py > /dev/null
   --metrics-out="$BUILD_DIR"/fig_server_metrics.txt > /dev/null
 tools/check_trace.py "$BUILD_DIR"/fig_server_trace.json
 
-echo "tier1: tests + ablations + examples + montsalvatc-golden + batched-rmi + fault-storm + msvlint + partition-optimizer + telemetry-trace + health/bench-diff + stress smoke OK"
+echo "tier1: tests + ablations + examples + montsalvatc-golden + batched-rmi + fault-storm + fig07-paldb + msvlint + partition-optimizer + telemetry-trace + health/bench-diff + stress smoke OK"
