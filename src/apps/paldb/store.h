@@ -13,6 +13,10 @@
 //   * the reader memory-maps the store file and probes the index in the
 //     mapping — nearly free outside the enclave, but paying per-page
 //     copy-in plus MEE traffic inside it.
+//
+// The writer holds at most two copies of the data at once (DESIGN.md §5
+// item 6): close() merges the staging files chunk by chunk into the data
+// region, and builds the index only after the data region is written.
 #pragma once
 
 #include <cstdint>
@@ -50,9 +54,11 @@ class StoreWriter {
   // an error).
   void put(std::string_view key, std::string_view value);
 
-  // Builds the index and writes the final store file; removes the staging
-  // files. Must be called exactly once before reading. Throws RuntimeFault
-  // on a duplicate key, before the store file is created.
+  // Merges the staging files into the data region and removes them, then
+  // writes the final store file: header, data, and the index, built from
+  // the records' key hashes once the data is written. Must be called
+  // exactly once before reading. Throws RuntimeFault on a duplicate key,
+  // before the store file is created, leaving the staging files in place.
   void close();
 
   const WriterStats& stats() const { return stats_; }
